@@ -128,12 +128,15 @@ void BM_SerializabilityCheck(benchmark::State& state) {
     r.site = static_cast<SiteId>(rng.Below(9));
     r.origin = GlobalTxnId{r.site, i};
     r.commit_seq = seq[r.site]++;
+    std::vector<ItemId> reads, writes;
     for (int k = 0; k < 7; ++k) {
-      r.reads.insert(static_cast<ItemId>(rng.Below(200)));
+      reads.push_back(static_cast<ItemId>(rng.Below(200)));
     }
     for (int k = 0; k < 3; ++k) {
-      r.writes.insert(static_cast<ItemId>(rng.Below(200)));
+      writes.push_back(static_cast<ItemId>(rng.Below(200)));
     }
+    r.reads = reads;
+    r.writes = writes;
     recorder.AddRecord(std::move(r));
   }
   for (auto _ : state) {

@@ -1,12 +1,14 @@
 #ifndef LAZYREP_CORE_HISTORY_H_
 #define LAZYREP_CORE_HISTORY_H_
 
-#include <map>
+#include <atomic>
+#include <deque>
 #include <mutex>
-#include <set>
 #include <string>
 #include <vector>
 
+#include "common/compact_array.h"
+#include "common/flat_map.h"
 #include "common/types.h"
 #include "storage/database.h"
 
@@ -18,27 +20,31 @@ namespace lazyrep::core {
 /// exactly the premise the paper's correctness arguments build on.
 class HistoryRecorder : public storage::HistoryObserver {
  public:
+  /// One committed (sub)transaction. Access sets are sorted, duplicate-
+  /// free arrays and the value maps sorted-array maps, each one pointer
+  /// in the record: a record is an 80-byte header plus at most four
+  /// small heap blocks.
   struct Record {
     SiteId site;
-    GlobalTxnId origin;  // Secondaries/proxies carry their origin's id.
-    int64_t commit_seq;
-    std::set<ItemId> reads;
-    std::set<ItemId> writes;
-    /// Value observed by the first (non-own-write) read per item; may be
-    /// missing for lock-only reads (PSL proxies).
-    std::map<ItemId, Value> reads_observed;
-    /// Final value installed per written item.
-    std::map<ItemId, Value> writes_final;
     /// MVCC snapshot read-only transaction (never holds locks, never
     /// enters the site's commit order). `commit_seq` is meaningless for
     /// these; visibility is defined by `snapshot_stamp` instead.
     bool snapshot = false;
+    GlobalTxnId origin;  // Secondaries/proxies carry their origin's id.
+    int64_t commit_seq;
     /// Watermark the snapshot read at: commits with commit_seq + 1 <=
     /// stamp (i.e. commit_seq < stamp) are visible, later ones are not.
     int64_t snapshot_stamp = 0;
     /// Read-your-writes floor the session demanded (0 when none). The
     /// oracle checks floor <= stamp.
     int64_t session_floor = 0;
+    CompactArray<ItemId> reads;
+    CompactArray<ItemId> writes;
+    /// Value observed by the first (non-own-write) read per item; may be
+    /// missing for lock-only reads (PSL proxies).
+    FlatMap<ItemId, Value> reads_observed;
+    /// Final value installed per written item.
+    FlatMap<ItemId, Value> writes_final;
   };
 
   void OnCommit(SiteId site, const storage::Transaction& txn,
@@ -47,24 +53,24 @@ class HistoryRecorder : public storage::HistoryObserver {
   void OnSnapshotRead(SiteId site, const storage::Transaction& txn,
                       int64_t stamp, int64_t session_floor) override;
 
-  /// Appends a record directly (scripted histories in tests/examples).
-  /// Internally synchronized: sites on every machine record here. The
-  /// checkers read `records()` only after the run has fully drained.
-  void AddRecord(Record record) {
-    std::lock_guard<std::mutex> lock(mu_);
-    records_.push_back(std::move(record));
-  }
+  /// Appends a record (scripted histories in tests/examples pass theirs
+  /// directly), sorting and deduplicating its read and write sets: the
+  /// checkers rely on that order. Internally synchronized: sites on every
+  /// machine record here. The checkers read `records()` only after the
+  /// run has fully drained.
+  void AddRecord(Record record);
 
-  const std::vector<Record>& records() const { return records_; }
+  /// Chunked storage: appending never moves the records already held, so
+  /// the history never needs its old and new buffers at once.
+  const std::deque<Record>& records() const { return records_; }
   int64_t aborts_seen() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return aborts_;
+    return aborts_.load(std::memory_order_relaxed);
   }
 
  private:
-  mutable std::mutex mu_;
-  std::vector<Record> records_;
-  int64_t aborts_ = 0;
+  std::mutex mu_;
+  std::deque<Record> records_;
+  std::atomic<int64_t> aborts_{0};
 };
 
 /// Result of a global serializability check.

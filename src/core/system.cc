@@ -748,9 +748,14 @@ RunMetrics System::CollectMetrics() const {
                          static_cast<double>(attempts)
                    : 0.0;
   out.response_ms = metrics_.response_ms();
-  out.response_p50_ms = metrics_.response_percentiles().Percentile(50);
-  out.response_p95_ms = metrics_.response_percentiles().Percentile(95);
-  out.response_p99_ms = metrics_.response_percentiles().Percentile(99);
+  {
+    // One copy per tracker: the first Percentile() sorts it, the rest
+    // read the sorted samples.
+    const PercentileTracker response = metrics_.response_percentiles();
+    out.response_p50_ms = response.Percentile(50);
+    out.response_p95_ms = response.Percentile(95);
+    out.response_p99_ms = response.Percentile(99);
+  }
   out.response_histogram = metrics_.response_histogram();
   out.propagation_delay_ms = metrics_.full_propagation_ms();
   out.per_site_apply_delay_ms = metrics_.per_site_apply_ms();
@@ -778,8 +783,9 @@ RunMetrics System::CollectMetrics() const {
           static_cast<double>(out.read_committed) / elapsed_s;
     }
     out.read_response_ms = metrics_.read_response_ms();
-    out.read_p50_ms = metrics_.read_percentiles().Percentile(50);
-    out.read_p99_ms = metrics_.read_percentiles().Percentile(99);
+    const PercentileTracker reads = metrics_.read_percentiles();
+    out.read_p50_ms = reads.Percentile(50);
+    out.read_p99_ms = reads.Percentile(99);
     out.staleness_ms = metrics_.staleness_ms();
     for (const auto& db : databases_) {
       out.gc_reclaimed += db->gc_reclaimed();

@@ -1,11 +1,15 @@
-// Tests for src/common: Status/Result, RNG, time helpers, statistics.
+// Tests for src/common: Status/Result, RNG, time helpers, statistics,
+// CompactArray and FlatMap.
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "common/compact_array.h"
+#include "common/flat_map.h"
 #include "common/result.h"
 #include "common/rng.h"
 #include "common/sim_time.h"
@@ -332,6 +336,88 @@ TEST(StringsTest, StrJoin) {
   std::vector<int> v{1, 2, 3};
   EXPECT_EQ(StrJoin(v, ", "), "1, 2, 3");
   EXPECT_EQ(StrJoin(std::vector<int>{}, ","), "");
+}
+
+TEST(CompactArrayTest, EmptyArrayAllocatesNothing) {
+  CompactArray<int> a;
+  EXPECT_TRUE(a.empty());
+  EXPECT_EQ(a.size(), 0u);
+  EXPECT_EQ(a.begin(), a.end());
+  EXPECT_EQ(CompactArray<int>(std::vector<int>{}).begin(), nullptr);
+  EXPECT_EQ(sizeof(CompactArray<int>), sizeof(void*));
+}
+
+TEST(CompactArrayTest, KeepsElementsInOrder) {
+  CompactArray<int> a = {4, 1, 4};
+  ASSERT_EQ(a.size(), 3u);
+  EXPECT_EQ(std::vector<int>(a.begin(), a.end()), (std::vector<int>{4, 1, 4}));
+  EXPECT_EQ(a, (std::vector<int>{4, 1, 4}));
+  EXPECT_FALSE(a == (std::vector<int>{4, 1}));
+}
+
+TEST(CompactArrayTest, CopiesAreDeepAndMovesSteal) {
+  CompactArray<std::pair<int, int64_t>> a = {{1, 10}, {2, 20}};
+  CompactArray<std::pair<int, int64_t>> copy = a;
+  EXPECT_EQ(copy, a);
+  EXPECT_NE(copy.begin(), a.begin());
+  CompactArray<std::pair<int, int64_t>> moved = std::move(a);
+  EXPECT_EQ(moved, copy);
+  EXPECT_TRUE(a.empty());  // NOLINT: moved-from is empty by contract.
+  moved = CompactArray<std::pair<int, int64_t>>{{3, 30}};
+  ASSERT_EQ(moved.size(), 1u);
+  EXPECT_EQ(moved.begin()->second, 30);
+  moved = moved;  // Self-assignment keeps the contents.
+  EXPECT_EQ(moved.begin()->first, 3);
+}
+
+TEST(FlatMapTest, EmptyMapFindsNothing) {
+  FlatMap<int, int64_t> m;
+  EXPECT_TRUE(m.empty());
+  EXPECT_EQ(m.size(), 0u);
+  EXPECT_EQ(m.find(3), m.end());
+  EXPECT_EQ(m.count(3), 0u);
+}
+
+TEST(FlatMapTest, FindAndCountOnPresentAndMissingKeys) {
+  FlatMap<int, int64_t> m = {{5, 50}, {1, 10}, {9, 90}};
+  ASSERT_EQ(m.size(), 3u);
+  auto it = m.find(5);
+  ASSERT_NE(it, m.end());
+  EXPECT_EQ(it->second, 50);
+  EXPECT_EQ(m.count(1), 1u);
+  EXPECT_EQ(m.at(9), 90);
+  // Below, between and above the stored keys.
+  for (int missing : {0, 2, 6, 10}) {
+    EXPECT_EQ(m.find(missing), m.end()) << missing;
+    EXPECT_EQ(m.count(missing), 0u) << missing;
+  }
+}
+
+TEST(FlatMapTest, IteratesInAscendingKeyOrder) {
+  FlatMap<int, int64_t> m = {{7, 1}, {-2, 2}, {4, 3}};
+  std::vector<int> keys;
+  for (const auto& [key, value] : m) keys.push_back(key);
+  EXPECT_EQ(keys, (std::vector<int>{-2, 4, 7}));
+}
+
+TEST(FlatMapTest, DuplicateKeysKeepTheFirstLikeStdMap) {
+  FlatMap<int, int64_t> m = {{3, 30}, {1, 10}, {3, 31}, {1, 11}, {3, 32}};
+  std::map<int, int64_t> reference = {
+      {3, 30}, {1, 10}, {3, 31}, {1, 11}, {3, 32}};
+  using Entries = std::vector<std::pair<int, int64_t>>;
+  EXPECT_EQ(Entries(m.begin(), m.end()),
+            Entries(reference.begin(), reference.end()));
+  EXPECT_EQ(m.at(3), 30);
+  EXPECT_EQ(m.at(1), 10);
+}
+
+TEST(FlatMapTest, BuildsFromAStdMapRange) {
+  std::map<int, int64_t> source = {{2, 20}, {8, 80}};
+  FlatMap<int, int64_t> m(source.begin(), source.end());
+  using Entries = std::vector<std::pair<int, int64_t>>;
+  EXPECT_EQ(Entries(m.begin(), m.end()),
+            Entries(source.begin(), source.end()));
+  EXPECT_EQ(m, (FlatMap<int, int64_t>{{8, 80}, {2, 20}}));
 }
 
 }  // namespace

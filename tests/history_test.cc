@@ -1,8 +1,14 @@
 // Tests for the history recorder and global serializability checker
 // (src/core/history.*).
 
+#include <algorithm>
+#include <map>
+#include <set>
+#include <vector>
+
 #include <gtest/gtest.h>
 
+#include "common/rng.h"
 #include "core/history.h"
 #include "runtime/sim_runtime.h"
 
@@ -279,8 +285,10 @@ TEST(RecorderTest, OnCommitCapturesTransactionState) {
   const HistoryRecorder::Record& r = recorder.records()[0];
   EXPECT_EQ(r.site, 4);
   EXPECT_EQ(r.origin, (GlobalTxnId{4, 9}));
-  EXPECT_EQ(r.reads, std::set<ItemId>{7});
-  EXPECT_EQ(r.writes, std::set<ItemId>{7});
+  EXPECT_EQ(r.reads, std::vector<ItemId>{7});
+  EXPECT_EQ(r.writes, std::vector<ItemId>{7});
+  EXPECT_EQ(r.reads_observed, (FlatMap<ItemId, Value>{{7, 0}}));
+  EXPECT_EQ(r.writes_final, (FlatMap<ItemId, Value>{{7, 1}}));
 }
 
 TEST(RecorderTest, CountsAborts) {
@@ -299,6 +307,200 @@ TEST(RecorderTest, CountsAborts) {
   sim.Run();
   EXPECT_EQ(recorder.aborts_seen(), 1);
   EXPECT_TRUE(recorder.records().empty());
+}
+
+TEST(RecorderTest, AddRecordSortsAndDeduplicatesAccessSets) {
+  HistoryRecorder recorder;
+  HistoryRecorder::Record r;
+  r.site = 0;
+  r.origin = Id(0, 1);
+  r.commit_seq = 0;
+  r.reads = {5, 1, 5, 3, 1};
+  r.writes = {9, 2, 9};
+  recorder.AddRecord(r);
+  EXPECT_EQ(recorder.records()[0].reads, (std::vector<ItemId>{1, 3, 5}));
+  EXPECT_EQ(recorder.records()[0].writes, (std::vector<ItemId>{2, 9}));
+}
+
+// ---------------------------------------------------------------------
+// Differential test: CheckSerializability against the original
+// std::set / std::map formulation of the same edge rule, kept here as
+// the reference.
+
+/// One scripted commit with its access lists exactly as scripted:
+/// possibly unsorted, possibly with repeats.
+struct ScriptedCommit {
+  SiteId site;
+  GlobalTxnId origin;
+  int64_t commit_seq;
+  std::vector<ItemId> reads;
+  std::vector<ItemId> writes;
+  bool snapshot = false;
+};
+
+/// Per-(site, item) access streams in a std::map, one std::set of
+/// successors per node, DFS over the sets.
+SerializabilityVerdict ReferenceCheck(
+    const std::vector<ScriptedCommit>& commits) {
+  struct Access {
+    int64_t commit_seq;
+    int node;
+    bool write;
+  };
+  SerializabilityVerdict verdict;
+  std::map<GlobalTxnId, int> node_of;
+  std::vector<GlobalTxnId> id_of;
+  std::map<std::pair<SiteId, ItemId>, std::vector<Access>> streams;
+  for (const ScriptedCommit& c : commits) {
+    if (c.snapshot) continue;
+    auto [it, inserted] =
+        node_of.emplace(c.origin, static_cast<int>(id_of.size()));
+    if (inserted) id_of.push_back(c.origin);
+    const int n = it->second;
+    const std::set<ItemId> reads(c.reads.begin(), c.reads.end());
+    const std::set<ItemId> writes(c.writes.begin(), c.writes.end());
+    for (ItemId i : writes) {
+      streams[{c.site, i}].push_back({c.commit_seq, n, true});
+    }
+    for (ItemId i : reads) {
+      if (writes.count(i)) continue;
+      streams[{c.site, i}].push_back({c.commit_seq, n, false});
+    }
+  }
+  std::vector<std::set<int>> adj(id_of.size());
+  auto add_edge = [&](int a, int b) {
+    if (a == b) return;
+    if (adj[a].insert(b).second) ++verdict.edges;
+  };
+  for (auto& [key, accesses] : streams) {
+    std::sort(accesses.begin(), accesses.end(),
+              [](const Access& a, const Access& b) {
+                return a.commit_seq < b.commit_seq;
+              });
+    int last_writer = -1;
+    std::vector<int> readers_since;
+    for (const Access& a : accesses) {
+      if (a.write) {
+        if (last_writer >= 0) add_edge(last_writer, a.node);  // ww
+        for (int r : readers_since) add_edge(r, a.node);      // rw
+        readers_since.clear();
+        last_writer = a.node;
+      } else {
+        if (last_writer >= 0) add_edge(last_writer, a.node);  // wr
+        readers_since.push_back(a.node);
+      }
+    }
+  }
+  verdict.nodes = id_of.size();
+  enum : uint8_t { kWhite, kGray, kBlack };
+  std::vector<uint8_t> color(id_of.size(), kWhite);
+  for (size_t start = 0; start < id_of.size(); ++start) {
+    if (color[start] != kWhite) continue;
+    struct Frame {
+      int node;
+      std::set<int>::const_iterator next;
+    };
+    std::vector<Frame> stack;
+    color[start] = kGray;
+    stack.push_back({static_cast<int>(start), adj[start].begin()});
+    while (!stack.empty()) {
+      Frame& f = stack.back();
+      if (f.next == adj[f.node].end()) {
+        color[f.node] = kBlack;
+        stack.pop_back();
+        continue;
+      }
+      int next = *f.next;
+      ++f.next;
+      if (color[next] == kGray) {
+        std::vector<GlobalTxnId> cycle;
+        cycle.push_back(id_of[next]);
+        for (auto it = stack.rbegin(); it != stack.rend(); ++it) {
+          cycle.push_back(id_of[it->node]);
+          if (it->node == next) break;
+        }
+        std::reverse(cycle.begin(), cycle.end());
+        verdict.serializable = false;
+        verdict.cycle = std::move(cycle);
+        return verdict;
+      }
+      if (color[next] == kWhite) {
+        color[next] = kGray;
+        stack.push_back({next, adj[next].begin()});
+      }
+    }
+  }
+  return verdict;
+}
+
+/// A random replicated history over 2-5 sites and at most 8 items: each
+/// transaction commits at its origin site and at a random subset of the
+/// others, every site in its own random order (so the union of the
+/// orders is often cyclic), with unsorted, repeating access lists and
+/// the occasional snapshot read, appended in a random order.
+std::vector<ScriptedCommit> RandomHistory(Rng* rng) {
+  const int sites = static_cast<int>(rng->Uniform(2, 5));
+  const int items = static_cast<int>(rng->Uniform(1, 8));
+  const int txns = static_cast<int>(rng->Uniform(2, 9));
+  auto accesses = [&] {
+    std::vector<ItemId> out(rng->Index(5));
+    for (ItemId& i : out) i = static_cast<ItemId>(rng->Index(items));
+    return out;
+  };
+  std::vector<std::vector<GlobalTxnId>> at_site(sites);
+  for (int t = 0; t < txns; ++t) {
+    const SiteId origin = static_cast<SiteId>(rng->Index(sites));
+    for (SiteId s = 0; s < sites; ++s) {
+      if (s == origin || rng->Bernoulli(0.5)) {
+        at_site[s].push_back(Id(origin, t));
+      }
+    }
+  }
+  std::vector<ScriptedCommit> out;
+  for (SiteId s = 0; s < sites; ++s) {
+    rng->Shuffle(&at_site[s]);
+    int64_t seq = static_cast<int64_t>(rng->Index(3));
+    for (const GlobalTxnId& id : at_site[s]) {
+      seq += 1 + static_cast<int64_t>(rng->Index(3));
+      out.push_back({s, id, seq, accesses(), accesses()});
+    }
+  }
+  if (rng->Bernoulli(0.3)) {
+    out.push_back({0, Id(0, 1000), -1, accesses(), {}, /*snapshot=*/true});
+  }
+  rng->Shuffle(&out);
+  return out;
+}
+
+TEST(CheckerDifferentialTest, MatchesReferenceOnRandomHistories) {
+  Rng rng(1999);
+  int cyclic = 0;
+  constexpr int kTrials = 400;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::vector<ScriptedCommit> script = RandomHistory(&rng);
+    HistoryRecorder recorder;
+    for (const ScriptedCommit& c : script) {
+      HistoryRecorder::Record r;
+      r.site = c.site;
+      r.snapshot = c.snapshot;
+      r.origin = c.origin;
+      r.commit_seq = c.commit_seq;
+      r.reads = c.reads;
+      r.writes = c.writes;
+      recorder.AddRecord(std::move(r));
+    }
+    const SerializabilityVerdict want = ReferenceCheck(script);
+    const SerializabilityVerdict got = CheckSerializability(recorder);
+    ASSERT_EQ(got.serializable, want.serializable) << "trial " << trial;
+    ASSERT_EQ(got.nodes, want.nodes) << "trial " << trial;
+    ASSERT_EQ(got.edges, want.edges) << "trial " << trial;
+    ASSERT_EQ(got.cycle, want.cycle) << "trial " << trial;
+    ASSERT_EQ(got.ToString(), want.ToString()) << "trial " << trial;
+    if (!want.serializable) ++cyclic;
+  }
+  // Both verdicts are well represented.
+  EXPECT_GE(cyclic, kTrials / 5);
+  EXPECT_LE(cyclic, kTrials * 4 / 5);
 }
 
 }  // namespace

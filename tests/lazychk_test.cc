@@ -40,8 +40,8 @@ using core::Protocol;
 
 HistoryRecorder::Record MakeRecord(SiteId site, SiteId origin_site,
                                    int64_t origin_seq, int64_t commit_seq,
-                                   std::set<ItemId> reads,
-                                   std::set<ItemId> writes) {
+                                   std::vector<ItemId> reads,
+                                   std::vector<ItemId> writes) {
   HistoryRecorder::Record record;
   record.site = site;
   record.origin = GlobalTxnId{origin_site, origin_seq};
@@ -123,7 +123,7 @@ TEST(ScheduleOracleTest, RejectsStaleReadValue) {
   HistoryRecorder history;
   constexpr ItemId x = 4;
   HistoryRecorder::Record record = MakeRecord(0, 0, 1, 1, {x}, {});
-  record.reads_observed[x] = 5;
+  record.reads_observed = {{x, 5}};
   history.AddRecord(record);
   core::ReadConsistencyVerdict verdict = core::CheckReadConsistency(history);
   EXPECT_FALSE(verdict.consistent);
