@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
       result.runs = arm.runs;
       harness::AppendBenchJson(
           options.json, "batching", core::ProtocolName(protocol),
-          options.runtime,
+          base.runtime,
           {{"window_ms", window_ms},
            {"frames_per_txn", arm.frames_per_txn},
            {"acks_per_txn", arm.acks_per_txn},

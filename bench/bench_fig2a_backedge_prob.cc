@@ -39,9 +39,9 @@ int main(int argc, char** argv) {
         harness::RunSeeds(psl, options.seeds);
 
     harness::AppendBenchJson(options.json, "fig2a", "BackEdge",
-                             options.runtime, {{"backedge_prob", b}},
+                             base.runtime, {{"backedge_prob", b}},
                              be_result);
-    harness::AppendBenchJson(options.json, "fig2a", "PSL", options.runtime,
+    harness::AppendBenchJson(options.json, "fig2a", "PSL", base.runtime,
                              {{"backedge_prob", b}}, psl_result);
     table.PrintRow({harness::Table::Num(b, 1),
                     harness::Table::Num(be_result.throughput),

@@ -22,7 +22,6 @@
 #include "obs/registry.h"
 #include "runtime/sim_runtime.h"
 #include "runtime/thread_runtime.h"
-#include "sim/primitives.h"
 #include "sim/simulator.h"
 #include "storage/lock_manager.h"
 #include "workload/generator.h"

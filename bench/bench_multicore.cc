@@ -30,11 +30,11 @@ double ProcessCpuSeconds() {
 int main(int argc, char** argv) {
   using namespace lazyrep;
   harness::BenchOptions options = harness::ParseBenchArgs(argc, argv);
-  // Worker lanes only exist under the threads runtime; sim rejects
-  // workers_per_site > 1 to keep goldens byte-stable.
-  options.runtime = runtime::RuntimeKind::kThreads;
 
   core::SystemConfig base = harness::PaperConfig(core::Protocol::kBackEdge);
+  // Worker lanes only exist under the threads runtime; sim rejects
+  // workers_per_site > 1 to keep goldens byte-stable.
+  base.runtime = runtime::RuntimeKind::kThreads;
   harness::ApplyOptions(options, &base);
   base.workload.num_sites = 4;
   base.workload.sites_per_machine = 4;  // One machine; lanes do the work.
@@ -70,7 +70,7 @@ int main(int argc, char** argv) {
       if (base_tps == 0) base_tps = result.throughput;
       double speedup = base_tps > 0 ? result.throughput / base_tps : 0;
       harness::AppendBenchJson(
-          options.json, "multicore_workers", "BackEdge", options.runtime,
+          options.json, "multicore_workers", "BackEdge", config.runtime,
           {{"lock_stripes", static_cast<double>(stripes)},
            {"workers", static_cast<double>(workers)},
            {"speedup", speedup},

@@ -11,7 +11,7 @@ int main(int argc, char** argv) {
   harness::BenchOptions options = harness::ParseBenchArgs(argc, argv);
   core::SystemConfig config =
       harness::PaperConfig(core::Protocol::kBackEdge);
-  config.workload.txns_per_thread = options.txns_per_thread;
+  harness::ApplyOptions(options, &config);
   config.workload.backedge_prob = 0.0;
 
   auto system = core::System::Create(config);

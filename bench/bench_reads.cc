@@ -65,11 +65,11 @@ Arm RunArm(core::SystemConfig config, storage::ConsistencyLevel level,
 
 int main(int argc, char** argv) {
   harness::BenchOptions options = harness::ParseBenchArgs(argc, argv);
-  // The workers axis needs real lanes: this bench always runs the
-  // threads backend (metrics are wall-clock, like bench_multicore).
-  options.runtime = runtime::RuntimeKind::kThreads;
 
   core::SystemConfig base = harness::PaperConfig(core::Protocol::kDagWt);
+  // The workers axis needs real lanes: this bench always runs the
+  // threads backend (metrics are wall-clock, like bench_multicore).
+  base.runtime = runtime::RuntimeKind::kThreads;
   harness::ApplyOptions(options, &base);
   base.workload.backedge_prob = 0.0;
   base.workload.zipf_theta = 0.8;
@@ -117,14 +117,14 @@ int main(int argc, char** argv) {
       const double w = static_cast<double>(workers);
       harness::AppendBenchJson(
           options.json, std::string("reads_") + wc.label,
-          core::ProtocolName(config.protocol), options.runtime,
+          core::ProtocolName(config.protocol), config.runtime,
           {{"workers", w},
            {"theta", config.workload.zipf_theta},
            {"snapshot_level", 0}},
           ser.result);
       harness::AppendBenchJson(
           options.json, std::string("reads_") + wc.label,
-          core::ProtocolName(config.protocol), options.runtime,
+          core::ProtocolName(config.protocol), config.runtime,
           {{"workers", w},
            {"theta", config.workload.zipf_theta},
            {"snapshot_level", 1},

@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
     harness::AggregateResult result =
         harness::RunSeeds(config, options.seeds);
     harness::AppendBenchJson(options.json, "response_time",
-                             core::ProtocolName(protocol), options.runtime,
+                             core::ProtocolName(protocol), config.runtime,
                              {}, result);
     table.PrintRow({core::ProtocolName(protocol),
                     harness::Table::Num(result.throughput),

@@ -97,7 +97,7 @@ void EmitRow(const harness::BenchOptions& options,
              const Cell& cell) {
   harness::AppendBenchJson(
       options.json, "scale_" + FamilyOf(topology),
-      core::ProtocolName(config.protocol), options.runtime,
+      core::ProtocolName(config.protocol), config.runtime,
       {{"sites", static_cast<double>(config.workload.num_sites)},
        {"items", static_cast<double>(config.workload.num_items)},
        {"rf", static_cast<double>(config.workload.replication_factor)},
@@ -155,8 +155,8 @@ int main(int argc, char** argv) {
       for (core::Protocol protocol : kProtocols) {
         core::SystemConfig config = base;
         config.protocol = protocol;
-        harness::ApplyTopology(topology, options.replication_factor,
-                               &config.workload);
+        config.workload.topology = topology;
+        harness::ApplyTopology(&config.workload);
         Cell cell = RunCell(config, options);
         EmitRow(options, config, topology, cell);
         PrintCell(table, topology, config, cell);
@@ -190,8 +190,8 @@ int main(int argc, char** argv) {
         }
         core::SystemConfig config = base;
         config.protocol = protocol;
-        harness::ApplyTopology(family.topology, options.replication_factor,
-                               &config.workload);
+        config.workload.topology = family.topology;
+        harness::ApplyTopology(&config.workload);
         Cell cell = RunCell(config, options);
         EmitRow(options, config, family.topology, cell);
         PrintCell(table, family.topology, config, cell);

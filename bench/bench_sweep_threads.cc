@@ -15,10 +15,9 @@ namespace {
 // sites across more machines must raise measured throughput (>1x from
 // 1 to 4 machines) — that is the parallelism the backend exists to
 // demonstrate.
-int RunMachineScaling(const lazyrep::harness::BenchOptions& options) {
+int RunMachineScaling(const lazyrep::harness::BenchOptions& options,
+                      lazyrep::core::SystemConfig base) {
   using namespace lazyrep;
-  core::SystemConfig base = harness::PaperConfig(core::Protocol::kBackEdge);
-  harness::ApplyOptions(options, &base);
   base.workload.num_sites = 4;
   base.workload.threads_per_site = 2;
   if (!options.txns_set) {
@@ -45,7 +44,7 @@ int RunMachineScaling(const lazyrep::harness::BenchOptions& options) {
     if (base_tps == 0) base_tps = result.throughput;
     double speedup = base_tps > 0 ? result.throughput / base_tps : 0;
     harness::AppendBenchJson(
-        options.json, "sweep_threads_scaling", "BackEdge", options.runtime,
+        options.json, "sweep_threads_scaling", "BackEdge", config.runtime,
         {{"machines", static_cast<double>(machines)},
          {"sites_per_machine", static_cast<double>(spm)},
          {"speedup", speedup}},
@@ -65,12 +64,11 @@ int RunMachineScaling(const lazyrep::harness::BenchOptions& options) {
 int main(int argc, char** argv) {
   using namespace lazyrep;
   harness::BenchOptions options = harness::ParseBenchArgs(argc, argv);
-  if (options.runtime == runtime::RuntimeKind::kThreads) {
-    return RunMachineScaling(options);
-  }
-
   core::SystemConfig base = harness::PaperConfig(core::Protocol::kBackEdge);
   harness::ApplyOptions(options, &base);
+  if (base.runtime == runtime::RuntimeKind::kThreads) {
+    return RunMachineScaling(options, base);
+  }
   bench::PrintBanner(
       "[BKRSS98] sweep: throughput vs threads per site (multiprogramming)",
       base, options);
@@ -93,10 +91,10 @@ int main(int argc, char** argv) {
         harness::RunSeeds(psl, options.seeds);
 
     harness::AppendBenchJson(
-        options.json, "sweep_threads", "BackEdge", options.runtime,
+        options.json, "sweep_threads", "BackEdge", base.runtime,
         {{"threads", static_cast<double>(threads)}}, be_result);
     harness::AppendBenchJson(
-        options.json, "sweep_threads", "PSL", options.runtime,
+        options.json, "sweep_threads", "PSL", base.runtime,
         {{"threads", static_cast<double>(threads)}}, psl_result);
 
     table.PrintRow({std::to_string(threads),

@@ -73,7 +73,7 @@ void EmitRow(const harness::BenchOptions& options,
       options.json,
       std::string("atlas_") +
           workload::WorkloadKindName(config.workload.workload),
-      core::ProtocolName(config.protocol), options.runtime, params, cell.result);
+      core::ProtocolName(config.protocol), config.runtime, params, cell.result);
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "common/strings.h"
 
+#include <charconv>
 #include <cstdarg>
 #include <cstdio>
 
@@ -19,6 +20,12 @@ std::string StrPrintf(const char* fmt, ...) {
   }
   va_end(ap2);
   return out;
+}
+
+std::string FormatShortest(double v) {
+  char buf[32];
+  auto [end, ec] = std::to_chars(buf, buf + sizeof(buf), v);
+  return std::string(buf, end);
 }
 
 }  // namespace lazyrep

@@ -11,6 +11,10 @@ namespace lazyrep {
 std::string StrPrintf(const char* fmt, ...)
     __attribute__((format(printf, 1, 2)));
 
+/// Shortest decimal rendering that parses back to exactly `v`
+/// ("0.1234567", "2", "1e-07").
+std::string FormatShortest(double v);
+
 /// Concatenates the stream renderings of all arguments.
 template <typename... Args>
 std::string StrCat(const Args&... args) {

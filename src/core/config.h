@@ -93,6 +93,8 @@ struct CostModel {
   Duration loopback_latency = Micros(50);
   /// When false, no machine CPU is modelled (pure latency/lock study).
   bool model_cpu = true;
+
+  bool operator==(const CostModel&) const = default;
 };
 
 /// Protocol-specific knobs.
@@ -128,6 +130,8 @@ struct EngineOptions {
   /// schedule-neutral, so the default applies under both backends; it
   /// only matters for contention with `workers_per_site > 1`.
   int lock_stripes = 8;
+
+  bool operator==(const EngineOptions&) const = default;
 };
 
 /// Transport-level batching (docs/PERFORMANCE.md §6): frame coalescing,
@@ -163,6 +167,8 @@ struct BatchingOptions {
   }
   /// Coalescing active (as opposed to just piggybacking/group commit).
   bool coalescing() const { return window > 0; }
+
+  bool operator==(const BatchingOptions&) const = default;
 };
 
 /// Full description of one simulated system run.
@@ -232,6 +238,8 @@ struct SystemConfig {
   Duration quiesce_poll = Millis(10);
   /// Safety cap on virtual time (0 = none); hitting it flags the run.
   Duration max_sim_time = 0;
+
+  bool operator==(const SystemConfig&) const = default;
 };
 
 }  // namespace lazyrep::core

@@ -116,36 +116,36 @@ Result<std::unique_ptr<System>> System::Create(SystemConfig config) {
   return system;
 }
 
-Status System::Build() {
-  workload::Params& params = config_.workload;
+Status Validate(const SystemConfig& config) {
+  const workload::Params& params = config.workload;
   if (params.num_sites <= 0 || params.sites_per_machine <= 0) {
     return Status::InvalidArgument("bad site/machine counts");
   }
-  if (config_.workers_per_site < 1) {
+  if (config.workers_per_site < 1) {
     return Status::InvalidArgument("workers_per_site must be >= 1");
   }
-  if (config_.engine.lock_stripes < 1) {
+  if (config.engine.lock_stripes < 1) {
     return Status::InvalidArgument("lock_stripes must be >= 1");
   }
-  if (config_.consistency != storage::ConsistencyLevel::kSerializable) {
-    if (config_.protocol == Protocol::kPsl) {
+  if (config.consistency != storage::ConsistencyLevel::kSerializable) {
+    if (config.protocol == Protocol::kPsl) {
       return Status::InvalidArgument(
           "snapshot/ryw consistency requires value propagation; PSL never "
           "ships update values to secondaries, so a secondary snapshot "
           "would serve frozen initial data forever");
     }
-    if (config_.mvcc_gc_interval < 1) {
+    if (config.mvcc_gc_interval < 1) {
       return Status::InvalidArgument("mvcc_gc_interval must be >= 1");
     }
   }
-  if (config_.workers_per_site > 1) {
-    if (config_.runtime != runtime::RuntimeKind::kThreads) {
+  if (config.workers_per_site > 1) {
+    if (config.runtime != runtime::RuntimeKind::kThreads) {
       return Status::InvalidArgument(
           "workers_per_site > 1 requires the thread runtime (the sim "
           "models one logical executor; faking parallel lanes there would "
           "invalidate every golden schedule)");
     }
-    if (config_.engine.deadlock_policy ==
+    if (config.engine.deadlock_policy ==
         storage::DeadlockPolicy::kLocalDetection) {
       return Status::InvalidArgument(
           "local deadlock detection requires workers_per_site == 1 (the "
@@ -153,57 +153,57 @@ Status System::Build() {
           "may mutate); use wait-die or timeouts for multi-worker sites");
     }
   }
-  if (config_.engine.deadlock_policy == storage::DeadlockPolicy::kWaitDie &&
-      config_.schedule.has_value() && config_.schedule->enabled() &&
-      config_.schedule->shuffle_grants) {
+  if (config.engine.deadlock_policy == storage::DeadlockPolicy::kWaitDie &&
+      config.schedule.has_value() && config.schedule->enabled() &&
+      config.schedule->shuffle_grants) {
     return Status::InvalidArgument(
         "wait-die does not compose with shuffle_grants: grant-order "
         "perturbation explores waiter orders, but wait-die kills the "
         "waiters the shuffle would reorder");
   }
-  if (config_.engine.batch_window > 0 &&
-      config_.protocol != Protocol::kDagWt) {
+  if (config.engine.batch_window > 0 &&
+      config.protocol != Protocol::kDagWt) {
     return Status::InvalidArgument(
         "batch_window is only supported by DAG(WT) (batching would "
         "reorder BackEdge special subtransactions)");
   }
-  if (config_.batching.window < 0) {
+  if (config.batching.window < 0) {
     return Status::InvalidArgument("batching window must be >= 0");
   }
-  if (config_.batching.coalescing() && config_.batching.max_bytes == 0) {
+  if (config.batching.coalescing() && config.batching.max_bytes == 0) {
     return Status::InvalidArgument(
         "batching max_bytes must be > 0 when coalescing is on");
   }
-  if (config_.batching.piggyback_acks &&
-      config_.batching.ack_delay <= 0) {
+  if (config.batching.piggyback_acks &&
+      config.batching.ack_delay <= 0) {
     return Status::InvalidArgument(
         "piggybacked acks need a positive ack_delay fallback");
   }
-  if (config_.batching.wal_group_commit && !config_.enable_wal) {
+  if (config.batching.wal_group_commit && !config.enable_wal) {
     return Status::InvalidArgument(
         "wal_group_commit requires enable_wal (there is no log whose "
         "syncs it would batch)");
   }
-  if (config_.faults.has_value() && !config_.faults->crashes.empty()) {
+  if (config.faults.has_value() && !config.faults->crashes.empty()) {
     // Crash faults need a redo log to recover from and a protocol whose
     // propagation state is modelled as durable (docs/FAULTS.md).
-    if (!config_.enable_wal) {
+    if (!config.enable_wal) {
       return Status::InvalidArgument(
           "crash faults require enable_wal (recovery replays the WAL)");
     }
-    if (config_.protocol != Protocol::kDagWt &&
-        config_.protocol != Protocol::kDagT &&
-        config_.protocol != Protocol::kBackEdge) {
+    if (config.protocol != Protocol::kDagWt &&
+        config.protocol != Protocol::kDagT &&
+        config.protocol != Protocol::kBackEdge) {
       return Status::InvalidArgument(
           "crash faults are only supported for the lazy tree protocols "
           "(DAG(WT)/DAG(T)/BackEdge)");
     }
-    if (config_.engine.batch_window > 0) {
+    if (config.engine.batch_window > 0) {
       return Status::InvalidArgument(
           "crash faults require batching off (buffered batches are "
           "volatile)");
     }
-    for (const fault::CrashEvent& crash : config_.faults->crashes) {
+    for (const fault::CrashEvent& crash : config.faults->crashes) {
       if (crash.site < 0 || crash.site >= params.num_sites) {
         return Status::InvalidArgument("crash site out of range");
       }
@@ -214,18 +214,28 @@ Status System::Build() {
     }
   }
 
-  // Schedule perturbation (lazychk): a seeded policy perturbs event
-  // tie-breaks, delivery delays and lock-grant order. Only meaningful —
-  // and only replayable — on the deterministic sim backend.
-  if (config_.schedule.has_value() && config_.schedule->enabled()) {
-    if (config_.runtime != runtime::RuntimeKind::kSim) {
+  // Schedule perturbation (lazychk) is only meaningful — and only
+  // replayable — on the deterministic sim backend.
+  if (config.schedule.has_value() && config.schedule->enabled()) {
+    if (config.runtime != runtime::RuntimeKind::kSim) {
       return Status::InvalidArgument(
           "schedule perturbation requires the sim runtime (a perturbed "
           "schedule must be replayable from its seed)");
     }
-    if (config_.schedule->delivery_jitter_max < 0) {
+    if (config.schedule->delivery_jitter_max < 0) {
       return Status::InvalidArgument("delivery_jitter_max must be >= 0");
     }
+  }
+  return Status::OK();
+}
+
+Status System::Build() {
+  LAZYREP_RETURN_IF_ERROR(Validate(config_));
+  workload::Params& params = config_.workload;
+
+  // Schedule perturbation (lazychk): a seeded policy perturbs event
+  // tie-breaks, delivery delays and lock-grant order.
+  if (config_.schedule.has_value() && config_.schedule->enabled()) {
     schedule_policy_ =
         std::make_unique<sim::SchedulePolicy>(*config_.schedule);
     simulator().SetSchedulePolicy(schedule_policy_.get());
@@ -542,6 +552,7 @@ runtime::Co<void> System::QuiesceAndShutdown() {
     co_await runtime_->Delay(config_.quiesce_poll);
   }
   drain_elapsed_ = runtime_->Now();
+  drained_ = true;
   for (auto& engine : engines_) engine->BeginShutdown();
   if (transport_ != nullptr) transport_->BeginShutdown();
 }
@@ -633,7 +644,7 @@ void System::RunSim() {
   runtime_->SpawnOn(0, QuiesceAndShutdown());
   if (config_.max_sim_time > 0) {
     sim.RunUntil(config_.max_sim_time);
-    timed_out_ = (drain_elapsed_ == 0);
+    timed_out_ = !drained_;
   } else {
     sim.Run();
   }

@@ -22,6 +22,13 @@
 
 namespace lazyrep::core {
 
+/// The configuration-only checks `System::Create` runs before assembling
+/// anything: knob ranges and knob combinations that cannot work, each
+/// rejected with the reason. Pure — no placement is generated, so checks
+/// that need the copy graph (a DAG protocol on a cyclic graph) still
+/// happen in `Create`. Front ends call it after parsing their flags.
+Status Validate(const SystemConfig& config);
+
 /// A complete replicated-database system: machines (shared CPU
 /// resources), sites (database + protocol engine), the network, and the
 /// workload threads of §5.2 — all running over a `runtime::Runtime`
@@ -204,6 +211,8 @@ class System {
   runtime::WaitGroup workers_done_;
   Duration workload_elapsed_ = 0;
   Duration drain_elapsed_ = 0;
+  /// Set once the post-workload drain has quiesced (sim runtime).
+  bool drained_ = false;
   bool timed_out_ = false;
   bool ran_ = false;
   bool started_ = false;

@@ -8,6 +8,7 @@
 #include "common/result.h"
 #include "common/sim_time.h"
 #include "common/status.h"
+#include "common/strings.h"
 #include "common/types.h"
 
 namespace lazyrep::fault {
@@ -18,6 +19,8 @@ struct CrashEvent {
   SiteId site = kInvalidSite;
   SimTime at = 0;
   Duration down_for = Millis(100);
+
+  bool operator==(const CrashEvent&) const = default;
 };
 
 /// Declarative description of the faults one run should experience. The
@@ -47,6 +50,11 @@ struct FaultPlan {
   /// e.g. "drop:0.01,dup:0.01,crash:1@500ms" — repeated crash entries
   /// schedule several failures.
   static Result<FaultPlan> Parse(const std::string& spec);
+
+  /// The canonical spec: `Parse(ToString())` reproduces the plan exactly.
+  std::string ToString() const;
+
+  bool operator==(const FaultPlan&) const = default;
 };
 
 namespace internal {
@@ -66,7 +74,33 @@ inline Result<Duration> ParseDuration(const std::string& text) {
   return Status::InvalidArgument("bad duration unit: " + text);
 }
 
+/// Renders `d` in the largest unit that holds it exactly ("2ms", "150us",
+/// "7ns"; "0" for zero), so `ParseDuration` reads it back unchanged.
+inline std::string FormatDurationSpec(Duration d) {
+  if (d == 0) return "0";
+  if (d % kSecond == 0) return std::to_string(d / kSecond) + "s";
+  if (d % kMillisecond == 0) return std::to_string(d / kMillisecond) + "ms";
+  if (d % kMicrosecond == 0) return std::to_string(d / kMicrosecond) + "us";
+  return std::to_string(d) + "ns";
+}
+
 }  // namespace internal
+
+inline std::string FaultPlan::ToString() const {
+  std::vector<std::string> entries;
+  if (drop_prob > 0) entries.push_back("drop:" + FormatShortest(drop_prob));
+  if (dup_prob > 0) entries.push_back("dup:" + FormatShortest(dup_prob));
+  if (extra_delay_max > 0) {
+    entries.push_back("delay:" +
+                      internal::FormatDurationSpec(extra_delay_max));
+  }
+  for (const CrashEvent& crash : crashes) {
+    entries.push_back("crash:" + std::to_string(crash.site) + "@" +
+                      internal::FormatDurationSpec(crash.at) + "+" +
+                      internal::FormatDurationSpec(crash.down_for));
+  }
+  return StrJoin(entries, ",");
+}
 
 inline Result<FaultPlan> FaultPlan::Parse(const std::string& spec) {
   FaultPlan plan;

@@ -49,6 +49,8 @@ struct Placement {
 
   /// Validates invariants (sizes, site ranges, primary not in replicas).
   Status Validate() const;
+
+  bool operator==(const Placement&) const = default;
 };
 
 /// A directed edge between sites.

@@ -2,14 +2,13 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstring>
+#include <cstdlib>
 #include <fstream>
 #include <string>
 
 #include "common/check.h"
 #include "common/stats.h"
 #include "common/strings.h"
-#include "graph/topology.h"
 #include "obs/chrome_trace.h"
 #include "obs/prometheus.h"
 
@@ -130,156 +129,93 @@ AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
   return out;
 }
 
+BenchOptions::BenchOptions()
+    : config(PaperConfig(core::Protocol::kBackEdge)) {}
+
+namespace {
+
+std::vector<Flag<core::SystemConfig>> BenchConfigFlags() {
+  return ConfigFlags({"runtime", "workers", "lock-stripes", "deadlock",
+                      "timeout-ms", "zipf", "workload", "consistency",
+                      "topology", "replication-factor"});
+}
+
+}  // namespace
+
+std::vector<Flag<BenchOptions>> BenchFlags() {
+  using Rendered = std::optional<std::string>;
+  // --quick and --full set the scale; --txns and --seeds carry it when a
+  // command line is rendered back.
+  auto scale = [](std::string name, std::string help, int txns, int seeds,
+                  bool quick) {
+    return Flag<BenchOptions>{std::move(name), "", "", std::move(help),
+                              [=](const std::string&, BenchOptions* o) {
+                                o->txns_per_thread = txns;
+                                o->seeds = seeds;
+                                o->quick |= quick;
+                                o->txns_set = true;
+                                return Status::OK();
+                              },
+                              [=](const BenchOptions& o) -> Rendered {
+                                if (!quick || !o.quick) return std::nullopt;
+                                return "";
+                              }};
+  };
+  std::vector<Flag<BenchOptions>> flags = {
+      scale("quick", "smoke scale: 100 txns/thread, 1 seed", 100, 1, true),
+      scale("full", "the paper's scale: 1000 txns/thread, 3 seeds", 1000, 3,
+            false),
+      {"txns", "", "N", "transactions per thread",
+       [](const std::string& v, BenchOptions* o) {
+         o->txns_set = true;
+         return ParseInt(v, 0, &o->txns_per_thread);
+       },
+       [](const BenchOptions& o) -> Rendered {
+         return std::to_string(o.txns_per_thread);
+       }},
+      IntFlag("seeds", "seeds averaged per point", &BenchOptions::seeds, 1),
+      SwitchFlag("csv", "machine-readable output for plotting",
+                 &BenchOptions::csv),
+      PathFlag("json", "append one JSON line per result row",
+               &BenchOptions::json),
+      PathFlag("metrics-out", "Prometheus snapshot of the last run",
+               &BenchOptions::metrics_out),
+      PathFlag("trace-out", "Chrome trace_event timeline of the last run",
+               &BenchOptions::trace_out),
+  };
+  for (Flag<BenchOptions>& f :
+       OnMember(BenchConfigFlags(), &BenchOptions::config)) {
+    flags.push_back(std::move(f));
+  }
+  return flags;
+}
+
 BenchOptions ParseBenchArgs(int argc, char** argv) {
   BenchOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--quick") == 0) {
-      options.quick = true;
-      options.txns_per_thread = 100;
-      options.seeds = 1;
-      options.txns_set = true;
-    } else if (std::strcmp(arg, "--full") == 0) {
-      options.txns_per_thread = 1000;  // The paper's setting.
-      options.seeds = 3;
-      options.txns_set = true;
-    } else if (std::strncmp(arg, "--txns=", 7) == 0) {
-      options.txns_per_thread = std::atoi(arg + 7);
-      options.txns_set = true;
-    } else if (std::strncmp(arg, "--seeds=", 8) == 0) {
-      options.seeds = std::atoi(arg + 8);
-    } else if (std::strcmp(arg, "--csv") == 0) {
-      options.csv = true;
-    } else if (std::strncmp(arg, "--json=", 7) == 0) {
-      options.json = arg + 7;
-    } else if (std::strncmp(arg, "--metrics-out=", 14) == 0) {
-      options.metrics_out = arg + 14;
-      g_metrics_out = options.metrics_out;
-    } else if (std::strncmp(arg, "--trace-out=", 12) == 0) {
-      options.trace_out = arg + 12;
-      g_trace_out = options.trace_out;
-    } else if (std::strncmp(arg, "--runtime=", 10) == 0) {
-      const char* value = arg + 10;
-      if (std::strcmp(value, "sim") == 0) {
-        options.runtime = runtime::RuntimeKind::kSim;
-      } else if (std::strcmp(value, "threads") == 0) {
-        options.runtime = runtime::RuntimeKind::kThreads;
-      } else {
-        std::fprintf(stderr, "unknown runtime '%s' (sim|threads)\n", value);
-      }
-    } else if (std::strncmp(arg, "--workers=", 10) == 0) {
-      options.workers_per_site = std::atoi(arg + 10);
-    } else if (std::strncmp(arg, "--lock-stripes=", 15) == 0) {
-      options.lock_stripes = std::atoi(arg + 15);
-    } else if (std::strncmp(arg, "--lock-timeout=", 15) == 0) {
-      options.lock_timeout = Millis(std::atof(arg + 15));
-    } else if (std::strncmp(arg, "--zipf=", 7) == 0) {
-      options.zipf_theta = std::atof(arg + 7);
-      if (options.zipf_theta < 0) {
-        std::fprintf(stderr, "--zipf must be >= 0\n");
-        options.zipf_theta = -1;
-      }
-    } else if (std::strncmp(arg, "--workload=", 11) == 0) {
-      Result<workload::WorkloadKind> kind =
-          workload::ParseWorkloadKind(arg + 11);
-      if (kind.ok()) {
-        options.workload = *kind;
-        options.workload_set = true;
-      } else {
-        std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-      }
-    } else if (std::strncmp(arg, "--consistency=", 14) == 0) {
-      Result<storage::ConsistencyLevel> level =
-          storage::ParseConsistencyLevel(arg + 14);
-      if (level.ok()) {
-        options.consistency = *level;
-      } else {
-        std::fprintf(stderr, "%s\n", level.status().ToString().c_str());
-      }
-    } else if (std::strncmp(arg, "--topology=", 11) == 0) {
-      Result<graph::TopologySpec> spec =
-          graph::ParseTopologySpec(arg + 11);
-      if (spec.ok()) {
-        options.topology = spec->ToString();
-      } else {
-        std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-      }
-    } else if (std::strncmp(arg, "--replication-factor=", 21) == 0) {
-      options.replication_factor = std::atoi(arg + 21);
-      if (options.replication_factor < 1) {
-        std::fprintf(stderr, "--replication-factor must be >= 1\n");
-        options.replication_factor = 0;
-      }
-    } else if (std::strncmp(arg, "--deadlock=", 11) == 0) {
-      const char* value = arg + 11;
-      if (std::strcmp(value, "timeout") == 0) {
-        options.deadlock_policy = storage::DeadlockPolicy::kTimeoutOnly;
-      } else if (std::strcmp(value, "wait_die") == 0 ||
-                 std::strcmp(value, "wait-die") == 0) {
-        options.deadlock_policy = storage::DeadlockPolicy::kWaitDie;
-      } else {
-        std::fprintf(stderr, "unknown deadlock policy '%s' "
-                             "(timeout|wait_die)\n", value);
-      }
-    } else {
-      std::fprintf(stderr,
-                   "unknown argument '%s' "
-                   "(supported: --quick --full --txns=N --seeds=N --csv "
-                   "--json=PATH --runtime=sim|threads --workers=N "
-                   "--lock-stripes=N --deadlock=timeout|wait_die "
-                   "--lock-timeout=MS --zipf=THETA --workload=NAME "
-                   "--consistency=serializable|snapshot|ryw "
-                   "--topology=chain:N|tree:N,d|fan:N|rand:N,density "
-                   "--replication-factor=K "
-                   "--metrics-out=PATH --trace-out=PATH)\n",
-                   arg);
-    }
+  if (std::optional<int> exit_code = HandleCommandLine(
+          argc, argv,
+          std::string(argv[0]) + " — lazyrep bench\n\n" +
+              FlagHelp(BenchFlags(), options),
+          [&](const std::vector<std::string>& args) {
+            return ParseFlags(BenchFlags(), args, &options);
+          })) {
+    std::exit(*exit_code);
   }
+  g_metrics_out = options.metrics_out;
+  g_trace_out = options.trace_out;
   return options;
 }
 
-void ApplyOptions(const BenchOptions& options,
-                  core::SystemConfig* config) {
+void ApplyOptions(const BenchOptions& options, core::SystemConfig* config) {
   config->workload.txns_per_thread = options.txns_per_thread;
-  config->runtime = options.runtime;
-  config->workers_per_site = options.workers_per_site;
-  config->engine.lock_stripes = options.lock_stripes;
-  config->engine.deadlock_policy = options.deadlock_policy;
-  if (options.lock_timeout > 0) {
-    config->workload.deadlock_timeout = options.lock_timeout;
-  }
-  if (options.zipf_theta >= 0) {
-    config->workload.zipf_theta = options.zipf_theta;
-  }
-  if (options.workload_set) config->workload.workload = options.workload;
-  config->consistency = options.consistency;
-  if (!options.topology.empty()) {
-    ApplyTopology(options.topology, options.replication_factor,
-                  &config->workload);
-  } else if (options.replication_factor > 0) {
-    config->workload.replication_factor = options.replication_factor;
-  }
-}
-
-void ApplyTopology(const std::string& topology, int replication_factor,
-                   workload::Params* params) {
-  Result<graph::TopologySpec> spec = graph::ParseTopologySpec(topology);
-  LAZYREP_CHECK(spec.ok()) << spec.status().ToString();
-  params->topology = spec->ToString();
-  // The spec's site count is authoritative; sites keep the default
-  // co-location granularity unless that would leave zero machines.
-  params->num_sites = spec->num_sites;
-  if (params->sites_per_machine > spec->num_sites) {
-    params->sites_per_machine = 1;
-  }
-  if (params->num_items < spec->num_sites) {
-    // The sharded placement needs every site to own >= 1 item; scale the
-    // paper's default keyspace with the topology.
-    params->num_items = 4 * spec->num_sites;
-  }
-  if (replication_factor > 0) {
-    params->replication_factor = replication_factor;
-  }
+  const std::vector<Flag<core::SystemConfig>> flags = BenchConfigFlags();
+  Status status = ParseFlags(
+      flags, RenderFlags(flags, options.config, BenchOptions().config),
+      config);
+  LAZYREP_CHECK(status.ok()) << status.ToString();
+  ApplyTopology(&config->workload);
+  status = core::Validate(*config);
+  if (!status.ok()) std::exit(UsageError(status));
 }
 
 void AppendBenchJson(const std::string& path, const std::string& bench,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/system.h"
+#include "harness/flags.h"
 
 namespace lazyrep::harness {
 
@@ -63,8 +64,6 @@ struct BenchOptions {
   /// --json=<path>: append one JSON line per result row (see
   /// `AppendBenchJson`). Empty disables.
   std::string json;
-  /// --runtime=sim|threads: execution backend for the runs.
-  runtime::RuntimeKind runtime = runtime::RuntimeKind::kSim;
   /// --metrics-out=PATH: write a Prometheus text snapshot of the metrics
   /// registry after each run (the file holds the last completed run).
   /// Empty disables.
@@ -72,54 +71,27 @@ struct BenchOptions {
   /// --trace-out=PATH: enable tracing and write a Chrome trace_event JSON
   /// timeline after each run (last run wins). Empty disables.
   std::string trace_out;
-  /// --workers=N: worker lanes per machine (threads runtime only).
-  int workers_per_site = 1;
-  /// --lock-stripes=N: hash stripes per site lock table.
-  int lock_stripes = 8;
-  /// --deadlock=timeout|wait_die and --lock-timeout=MS (the latter an
-  /// alias for the workload's deadlock timeout knob).
-  storage::DeadlockPolicy deadlock_policy =
-      storage::DeadlockPolicy::kTimeoutOnly;
-  Duration lock_timeout = 0;  // 0 = keep the config's default.
-  /// --zipf=THETA: access-skew exponent (global hotness ranks,
-  /// docs/WORKLOADS.md). Negative = keep the config's default.
-  double zipf_theta = -1;
-  /// --workload=NAME: generator selection (table1 | ycsb_a..ycsb_f |
-  /// smallbank | tpcc_lite). Applied only when `workload_set`.
-  workload::WorkloadKind workload = workload::WorkloadKind::kTable1;
-  bool workload_set = false;
-  /// --consistency=serializable|snapshot|ryw: per-session consistency
-  /// level. Non-default levels serve read-only transactions from MVCC
-  /// snapshots (docs/MVCC.md).
-  storage::ConsistencyLevel consistency =
-      storage::ConsistencyLevel::kSerializable;
-  /// --topology=chain:N|tree:N,d|fan:N|rand:N,density: generated
-  /// scale-out copy graph with sharded placement (docs/SCALE.md). The
-  /// site count in the spec overrides the config's num_sites. Empty =
-  /// paper placement.
-  std::string topology;
-  /// --replication-factor=K: copies per item (primary included) under
-  /// --topology. 0 = keep the config's default.
-  int replication_factor = 0;
+  /// The shared config flags (--runtime, --workers, --lock-stripes,
+  /// --deadlock, --lock-timeout, --zipf, --workload, --consistency,
+  /// --topology, --replication-factor) parsed over
+  /// PaperConfig(kBackEdge). `ApplyOptions` re-applies the ones that
+  /// differ from it to each bench's base config.
+  core::SystemConfig config;
+
+  BenchOptions();
 };
 
-/// Parses --quick / --full / --txns=N / --seeds=N / --csv / --json=PATH /
-/// --runtime=sim|threads / --workers=N / --lock-stripes=N /
-/// --deadlock=timeout|wait_die / --lock-timeout=MS / --zipf=THETA /
-/// --workload=NAME / --consistency=LEVEL / --topology=SPEC /
-/// --replication-factor=K / --metrics-out=PATH / --trace-out=PATH.
+/// The benches' flag table: their own flags plus the shared config flags.
+std::vector<Flag<BenchOptions>> BenchFlags();
+
+/// Parses the bench command line. --help prints the flags and exits 0; an
+/// unknown flag or a bad value prints the error and exits 2.
 BenchOptions ParseBenchArgs(int argc, char** argv);
 
-/// Applies the options to a config.
+/// Applies the options to a bench's base config: the transaction count,
+/// then every shared flag that was set, then the --topology derivation.
+/// Exits 2 with the reason when `core::Validate` rejects the result.
 void ApplyOptions(const BenchOptions& options, core::SystemConfig* config);
-
-/// Applies a `--topology=` spec to workload params: canonicalizes the
-/// spec string, takes the spec's site count (adjusting co-location and
-/// the keyspace so every site owns a shard), and sets the replication
-/// factor when `replication_factor` > 0. CHECK-fails on an unparsable
-/// spec (CLI layers validate first).
-void ApplyTopology(const std::string& topology, int replication_factor,
-                   workload::Params* params);
 
 /// Appends one JSON object line to `path` — the machine-readable
 /// counterpart of a printed table row:

@@ -5,95 +5,29 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/strings.h"
 #include "fault/fault_plan.h"
 #include "harness/experiment.h"
 #include "storage/database.h"
 
 namespace lazyrep::harness {
 
-namespace {
-
-/// The CLI spelling of a protocol (matches lazyrep_cli / lazychk flags).
-std::string ProtocolToken(core::Protocol protocol) {
-  switch (protocol) {
-    case core::Protocol::kDagWt: return "dagwt";
-    case core::Protocol::kDagT: return "dagt";
-    case core::Protocol::kBackEdge: return "backedge";
-    case core::Protocol::kPsl: return "psl";
-    case core::Protocol::kNaiveLazy: return "naive";
-    case core::Protocol::kEager: return "eager";
-  }
-  return "?";
+core::SystemConfig LazychkOptions::DefaultRun() {
+  core::SystemConfig run = PaperConfig(core::Protocol::kDagT);
+  run.workload.txns_per_thread = 40;
+  return run;
 }
-
-/// The exact CLI invocation that re-runs one (seed, policy) pair.
-std::string ReplayLine(const LazychkOptions& options, uint64_t seed,
-                       const sim::SchedulePolicyConfig& policy) {
-  std::string line = "lazychk --protocol=" + ProtocolToken(options.protocol) +
-                     " --seeds=1 --first-seed=" + std::to_string(seed) +
-                     " --txns=" + std::to_string(options.txns_per_thread);
-  if (options.workload != workload::WorkloadKind::kTable1) {
-    line += std::string(" --workload=") +
-            workload::WorkloadKindName(options.workload);
-  }
-  if (options.zipf_theta > 0) {
-    line += " --zipf=" + std::to_string(options.zipf_theta);
-  }
-  if (!options.topology.empty()) {
-    line += " --topology=" + options.topology;
-    if (options.replication_factor > 0) {
-      line +=
-          " --replication-factor=" + std::to_string(options.replication_factor);
-    }
-  }
-  if (!options.faults.empty()) line += " --faults=" + options.faults;
-  if (options.consistency != storage::ConsistencyLevel::kSerializable) {
-    line += std::string(" --consistency=") +
-            storage::ConsistencyLevelName(options.consistency);
-  }
-  if (options.deadlock_policy == storage::DeadlockPolicy::kWaitDie) {
-    line += " --grant=wait_die";
-  }
-  if (options.batching.window > 0) {
-    line += " --batch-window=" + std::to_string(options.batching.window) +
-            "ns";
-  }
-  if (options.batching.piggyback_acks) line += " --piggyback-acks";
-  if (options.batching.wal_group_commit) line += " --group-commit";
-  line += std::string(" --ties=") + (policy.perturb_ties ? "1" : "0");
-  line += std::string(" --grants=") + (policy.shuffle_grants ? "1" : "0");
-  line += " --jitter=" + std::to_string(policy.delivery_jitter_max) + "ns";
-  line += " --no-shrink";
-  return line;
-}
-
-}  // namespace
 
 core::SystemConfig LazychkConfig(const LazychkOptions& options,
                                  uint64_t seed,
                                  const sim::SchedulePolicyConfig& policy) {
-  core::SystemConfig config = PaperConfig(options.protocol);
+  core::SystemConfig config = options.run;
   config.runtime = runtime::RuntimeKind::kSim;
   config.seed = seed;
   config.enable_wal = true;  // The oracle replays every site's WAL.
-  config.workload.txns_per_thread = options.txns_per_thread;
-  config.workload.workload = options.workload;
-  config.workload.zipf_theta = options.zipf_theta;
-  if (options.protocol != core::Protocol::kBackEdge) {
+  if (config.protocol != core::Protocol::kBackEdge) {
     config.workload.backedge_prob = 0.0;  // DAG protocols need a DAG.
   }
-  if (!options.topology.empty()) {
-    ApplyTopology(options.topology, options.replication_factor,
-                  &config.workload);
-  }
-  if (!options.faults.empty()) {
-    Result<fault::FaultPlan> plan = fault::FaultPlan::Parse(options.faults);
-    LAZYREP_CHECK(plan.ok()) << plan.status().ToString();
-    config.faults = *plan;
-  }
-  config.engine.deadlock_policy = options.deadlock_policy;
-  config.batching = options.batching;
-  config.consistency = options.consistency;
   sim::SchedulePolicyConfig seeded = policy;
   seeded.seed = seed;
   config.schedule = seeded;
@@ -191,13 +125,7 @@ sim::SchedulePolicyConfig ShrinkViolation(const LazychkOptions& options,
   return failing;
 }
 
-LazychkResult RunLazychk(const LazychkOptions& options_in) {
-  LazychkOptions options = options_in;
-  if (options.deadlock_policy == storage::DeadlockPolicy::kWaitDie) {
-    // Wait-die decides grant order by transaction age; a shuffled grant
-    // queue would contradict it (and System::Create rejects the combo).
-    options.policy.shuffle_grants = false;
-  }
+LazychkResult RunLazychk(const LazychkOptions& options) {
   LazychkResult result;
   for (int i = 0; i < options.seeds; ++i) {
     const uint64_t seed = options.first_seed + static_cast<uint64_t>(i);
@@ -229,6 +157,95 @@ LazychkResult RunLazychk(const LazychkOptions& options_in) {
     if (options.on_progress) options.on_progress(i + 1, options.seeds);
   }
   return result;
+}
+
+std::vector<Flag<LazychkOptions>> LazychkFlags() {
+  using Rendered = std::optional<std::string>;
+  auto bit = [](std::string name, std::string help,
+                bool sim::SchedulePolicyConfig::*field) {
+    return Flag<LazychkOptions>{
+        std::move(name), "", "0|1", std::move(help),
+        [field](const std::string& v, LazychkOptions* o) {
+          if (v != "0" && v != "1") return Status::InvalidArgument("want 0|1");
+          o->policy.*field = v == "1";
+          return Status::OK();
+        },
+        [field](const LazychkOptions& o) -> Rendered {
+          return o.policy.*field ? "1" : "0";
+        }};
+  };
+  std::vector<Flag<LazychkOptions>> flags = OnMember(
+      ConfigFlags({"protocol", "txns", "workload", "zipf", "consistency",
+                   "faults", "topology", "replication-factor", "deadlock",
+                   "batch-window", "piggyback-acks", "group-commit"}),
+      &LazychkOptions::run);
+  // The sweep's shape goes right after the protocol, as in a replay line.
+  flags.insert(
+      flags.begin() + 1,
+      {IntFlag("seeds", "number of (seed, policy) runs",
+               &LazychkOptions::seeds, 1),
+       {"first-seed", "", "K", "first seed of the sweep",
+        [](const std::string& v, LazychkOptions* o) {
+          return ParseUint(v, &o->first_seed);
+        },
+        [](const LazychkOptions& o) -> Rendered {
+          return std::to_string(o.first_seed);
+        }}});
+  flags.push_back(bit("ties", "perturb same-timestamp tie-breaks",
+                      &sim::SchedulePolicyConfig::perturb_ties));
+  flags.push_back(bit("grants",
+                      "randomize lock-grant order (off by default under "
+                      "--grant=wait_die, which it does not compose with)",
+                      &sim::SchedulePolicyConfig::shuffle_grants));
+  flags.push_back({"jitter", "", "D", "max per-message delivery jitter",
+                   [](const std::string& v, LazychkOptions* o) {
+                     return ParseFlagDuration(v,
+                                              &o->policy.delivery_jitter_max);
+                   },
+                   [](const LazychkOptions& o) -> Rendered {
+                     return fault::internal::FormatDurationSpec(
+                         o.policy.delivery_jitter_max);
+                   }});
+  flags.push_back(SwitchFlag("shrink",
+                             "shrink each violation to a minimal policy",
+                             &LazychkOptions::shrink));
+  flags.push_back(SwitchFlag("no-shrink", "report violations unshrunk",
+                             &LazychkOptions::shrink, false));
+  flags.push_back(SwitchFlag("quiet",
+                             "suppress per-violation progress on stderr",
+                             &LazychkOptions::verbose, false));
+  return flags;
+}
+
+Status ParseLazychkArgs(const std::vector<std::string>& args,
+                        LazychkOptions* options) {
+  LAZYREP_RETURN_IF_ERROR(ParseFlags(LazychkFlags(), args, options));
+  ApplyTopology(&options->run.workload);
+  // Wait-die decides grant order by transaction age, so its sweeps leave
+  // the grant queue alone unless --grants=1 insists (Validate refuses).
+  bool grants_given = false;
+  for (const std::string& arg : args) {
+    grants_given |= arg.rfind("--grants=", 0) == 0;
+  }
+  if (options->run.engine.deadlock_policy ==
+          storage::DeadlockPolicy::kWaitDie &&
+      !grants_given) {
+    options->policy.shuffle_grants = false;
+  }
+  return core::Validate(
+      LazychkConfig(*options, options->first_seed, options->policy));
+}
+
+std::string ReplayLine(const LazychkOptions& options, uint64_t seed,
+                       const sim::SchedulePolicyConfig& policy) {
+  LazychkOptions replay = options;
+  replay.seeds = 1;
+  replay.first_seed = seed;
+  replay.policy = policy;
+  replay.shrink = false;
+  std::vector<std::string> args =
+      RenderFlags(LazychkFlags(), replay, LazychkOptions());
+  return "lazychk " + StrJoin(args, " ");
 }
 
 }  // namespace lazyrep::harness

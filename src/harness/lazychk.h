@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "core/system.h"
+#include "harness/flags.h"
 #include "sim/schedule_policy.h"
 
 namespace lazyrep::harness {
@@ -21,46 +22,22 @@ namespace lazyrep::harness {
 /// dimensions (and halving the jitter bound) while the failure persists.
 
 struct LazychkOptions {
-  core::Protocol protocol = core::Protocol::kDagT;
-  /// Lock-manager deadlock policy swept by the runs (`--grant=`). Wait-die
-  /// forces `policy.shuffle_grants` off — the two fight over grant order
-  /// and `System::Create` rejects the combination.
-  storage::DeadlockPolicy deadlock_policy =
-      storage::DeadlockPolicy::kTimeoutOnly;
+  /// The run template every seed starts from: `PaperConfig(kDagT)` at 40
+  /// transactions per thread unless flags say otherwise. `LazychkConfig`
+  /// adds what lazychk always fixes (sim runtime, WAL, the run's seed and
+  /// policy, and b = 0 for the DAG protocols, which need a DAG).
+  core::SystemConfig run = DefaultRun();
   /// Number of (system seed, policy seed) runs; seed i uses
   /// `first_seed + i` for both.
   int seeds = 100;
   uint64_t first_seed = 1;
-  /// Fault plan spec for `FaultPlan::Parse` (e.g.
-  /// "drop:0.01,dup:0.01,crash:2@500ms+100ms"); empty = fault-free.
-  std::string faults;
-  /// Batching dimensions swept by the runs (`--batch-window=` etc.): with
-  /// a window set, every run routes through the coalescing transport and
-  /// the oracle additionally demands it quiesces (docs/PERFORMANCE.md §6).
-  core::BatchingOptions batching;
   /// Perturbation dimensions explored per run (`policy.seed` is
   /// overwritten with the run seed). Defaults: all three on, jitter up
   /// to 2 ms (an order above the paper's 0.15 ms wire latency, so
-  /// cross-channel reordering actually happens).
+  /// cross-channel reordering actually happens). Wait-die and
+  /// `shuffle_grants` fight over grant order and `core::Validate` rejects
+  /// the pair; `ParseLazychkArgs` drops the shuffle under wait-die.
   sim::SchedulePolicyConfig policy = DefaultPolicy();
-  /// Transactions per thread (workload length per run).
-  int txns_per_thread = 40;
-  /// Generator under test (`--workload=`, docs/WORKLOADS.md).
-  workload::WorkloadKind workload = workload::WorkloadKind::kTable1;
-  /// Access-skew exponent (`--zipf=`, global hotness ranks).
-  double zipf_theta = 0.0;
-  /// Per-session consistency level (`--consistency=`). Non-default
-  /// levels route read-only transactions through the MVCC snapshot path
-  /// and extend the oracle with the snapshot-consistency check.
-  storage::ConsistencyLevel consistency =
-      storage::ConsistencyLevel::kSerializable;
-  /// Generated scale-out topology (`--topology=chain:N|tree:N,d|fan:N|
-  /// rand:N,density`, docs/SCALE.md); empty = the paper placement. A
-  /// rand density > 0 creates cycles, so it needs a non-DAG protocol.
-  std::string topology;
-  /// Copies per item under `--topology` (`--replication-factor=K`);
-  /// 0 = default.
-  int replication_factor = 0;
   /// Shrink each violation before reporting.
   bool shrink = true;
   /// Progress/violation lines to stderr.
@@ -68,6 +45,7 @@ struct LazychkOptions {
   /// Optional progress hook, called after every completed run.
   std::function<void(int done, int total)> on_progress;
 
+  static core::SystemConfig DefaultRun();
   static sim::SchedulePolicyConfig DefaultPolicy() {
     sim::SchedulePolicyConfig p;
     p.perturb_ties = true;
@@ -91,9 +69,8 @@ struct LazychkResult {
   bool ok() const { return violations.empty(); }
 };
 
-/// Builds the SystemConfig for one lazychk run: PaperConfig(protocol)
-/// with WAL + checking on, the fault plan (if any) and the policy
-/// installed. CHECK-fails on an invalid fault spec.
+/// Builds the SystemConfig for one lazychk run: the run template with
+/// WAL + checking on and the seeded policy installed.
 core::SystemConfig LazychkConfig(const LazychkOptions& options,
                                  uint64_t seed,
                                  const sim::SchedulePolicyConfig& policy);
@@ -115,6 +92,23 @@ sim::SchedulePolicyConfig ShrinkViolation(
 
 /// The full sweep: `seeds` runs, oracle on each, shrink on violations.
 LazychkResult RunLazychk(const LazychkOptions& options);
+
+/// lazychk's flag table: the shared config flags it sweeps plus its own
+/// (`--seeds`, `--first-seed`, `--ties`, `--grants`, `--jitter`,
+/// `--shrink`/`--no-shrink`, `--quiet`).
+std::vector<Flag<LazychkOptions>> LazychkFlags();
+
+/// Parses lazychk's arguments over `*options`, derives the topology and
+/// validates the first run's config. Under `--grant=wait_die` grant
+/// shuffling is off unless `--grants=1` asks for it, which Validate
+/// rejects.
+Status ParseLazychkArgs(const std::vector<std::string>& args,
+                        LazychkOptions* options);
+
+/// The lazychk command line that re-runs exactly one (seed, policy) run
+/// of `options` without shrinking.
+std::string ReplayLine(const LazychkOptions& options, uint64_t seed,
+                       const sim::SchedulePolicyConfig& policy);
 
 }  // namespace lazyrep::harness
 

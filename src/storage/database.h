@@ -34,6 +34,8 @@ struct OpCosts {
   /// path ("OLTP Through the Looking Glass", SIGMOD 2008), so the
   /// per-op CPU drops accordingly. Never charged under kSerializable.
   Duration snapshot_read_cpu = Micros(60);
+
+  bool operator==(const OpCosts&) const = default;
 };
 
 /// Observer of local commit/abort events. The serializability checker

@@ -100,6 +100,8 @@ struct Params {
   /// (workload, zipf, hot seed, scan len, remote prob) are appended so
   /// bench JSON rows and lazychk replay lines fully describe the config.
   std::string ToString() const;
+
+  bool operator==(const Params&) const = default;
 };
 
 }  // namespace lazyrep::workload

@@ -82,6 +82,22 @@ TEST(ParseBenchArgsTest, ExplicitValues) {
   EXPECT_EQ(options.seeds, 7);
 }
 
+TEST(ParseBenchArgsTest, BadValuesAreUsageErrors) {
+  char prog[] = "bench";
+  char runtime[] = "--runtime=thread";
+  char* argv_runtime[] = {prog, runtime};
+  EXPECT_EXIT(ParseBenchArgs(2, argv_runtime), ::testing::ExitedWithCode(2),
+              "--runtime=thread");
+  char workload[] = "--workload=ycsb_z";
+  char* argv_workload[] = {prog, workload};
+  EXPECT_EXIT(ParseBenchArgs(2, argv_workload), ::testing::ExitedWithCode(2),
+              "unknown workload");
+  char txns[] = "--txns=abc";
+  char* argv_txns[] = {prog, txns};
+  EXPECT_EXIT(ParseBenchArgs(2, argv_txns), ::testing::ExitedWithCode(2),
+              "--txns=abc");
+}
+
 TEST(TableTest, NumFormatting) {
   EXPECT_EQ(Table::Num(3.14159), "3.14");
   EXPECT_EQ(Table::Num(3.14159, 1), "3.1");
@@ -94,6 +110,32 @@ TEST(ApplyOptionsTest, OverridesTxnsPerThread) {
   core::SystemConfig config = PaperConfig(core::Protocol::kPsl);
   ApplyOptions(options, &config);
   EXPECT_EQ(config.workload.txns_per_thread, 123);
+}
+
+TEST(ApplyOptionsTest, SimWorkersAreAUsageError) {
+  char prog[] = "bench";
+  char workers[] = "--workers=4";
+  char* argv[] = {prog, workers};
+  BenchOptions options = ParseBenchArgs(2, argv);
+  core::SystemConfig config = PaperConfig(core::Protocol::kBackEdge);
+  EXPECT_EXIT(ApplyOptions(options, &config), ::testing::ExitedWithCode(2),
+              "requires the thread runtime");
+}
+
+TEST(ApplyOptionsTest, ReappliesOnlyTheFlagsThatWereSet) {
+  char prog[] = "bench";
+  char zipf[] = "--zipf=0.8";
+  char runtime[] = "--runtime=sim";
+  char* argv[] = {prog, zipf, runtime};
+  BenchOptions options = ParseBenchArgs(3, argv);
+  // A threads-only bench keeps its runtime: --runtime=sim is the default
+  // and re-applies nothing.
+  core::SystemConfig config = PaperConfig(core::Protocol::kDagWt);
+  config.runtime = runtime::RuntimeKind::kThreads;
+  ApplyOptions(options, &config);
+  EXPECT_EQ(config.runtime, runtime::RuntimeKind::kThreads);
+  EXPECT_EQ(config.workload.zipf_theta, 0.8);
+  EXPECT_EQ(config.protocol, core::Protocol::kDagWt);
 }
 
 }  // namespace

@@ -15,6 +15,7 @@
 
 #include <cstdlib>
 #include <set>
+#include <sstream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -152,10 +153,15 @@ RunOutput RunOnce(const core::SystemConfig& config) {
   return out;
 }
 
+// The CI chaos plan: lossy, duplicating channels plus one site crash.
+fault::FaultPlan ChaosPlan() {
+  return *fault::FaultPlan::Parse("drop:0.01,dup:0.01,crash:2@500ms+100ms");
+}
+
 harness::LazychkOptions SmallOptions(Protocol protocol) {
   harness::LazychkOptions options;
-  options.protocol = protocol;
-  options.txns_per_thread = 20;
+  options.run.protocol = protocol;
+  options.run.workload.txns_per_thread = 20;
   options.shrink = false;
   return options;
 }
@@ -237,12 +243,45 @@ TEST(LazychkSweepTest, SmallSweepIsClean) {
 TEST(LazychkSweepTest, SmallSweepWithFaultsIsClean) {
   harness::LazychkOptions options = SmallOptions(Protocol::kBackEdge);
   options.seeds = 3;
-  options.faults = "drop:0.01,dup:0.01,crash:2@500ms+100ms";
+  options.run.faults = ChaosPlan();
   harness::LazychkResult result = harness::RunLazychk(options);
   EXPECT_EQ(result.runs, 3);
   for (const harness::LazychkViolation& v : result.violations) {
     ADD_FAILURE() << "seed=" << v.seed << " " << v.what << "\n  replay: "
                   << v.replay;
+  }
+}
+
+// Every violation's replay line parses back to the violating run's exact
+// config — including a zipf exponent a fixed-precision renderer would
+// round, and a batch window whose unit must survive.
+TEST(LazychkSweepTest, ReplayLineParsesBackToTheViolatingRun) {
+  // NaiveLazy is the negative control: it must produce violations.
+  harness::LazychkOptions options = SmallOptions(Protocol::kNaiveLazy);
+  options.seeds = 3;
+  options.run.workload.zipf_theta = 0.1234567;
+  options.run.batching.window = Millis(2);
+  harness::LazychkResult result = harness::RunLazychk(options);
+  ASSERT_FALSE(result.ok());
+  for (const harness::LazychkViolation& v : result.violations) {
+    EXPECT_NE(v.replay.find(" --zipf=0.1234567"), std::string::npos)
+        << v.replay;
+    EXPECT_NE(v.replay.find(" --batch-window=2ms"), std::string::npos)
+        << v.replay;
+    std::istringstream words(v.replay);
+    std::string word;
+    words >> word;
+    ASSERT_EQ(word, "lazychk");
+    std::vector<std::string> args;
+    while (words >> word) args.push_back(word);
+    harness::LazychkOptions replay;
+    Status status = harness::ParseLazychkArgs(args, &replay);
+    ASSERT_TRUE(status.ok()) << status.ToString();
+    EXPECT_EQ(replay.seeds, 1);
+    EXPECT_FALSE(replay.shrink);
+    EXPECT_EQ(harness::LazychkConfig(replay, replay.first_seed, replay.policy),
+              harness::LazychkConfig(options, v.seed, v.policy))
+        << v.replay;
   }
 }
 
@@ -259,10 +298,10 @@ TEST(LazychkSweepTest, FuzzBudget) {
        {Protocol::kDagWt, Protocol::kDagT, Protocol::kBackEdge}) {
     for (bool faults : {false, true}) {
       harness::LazychkOptions options = SmallOptions(protocol);
-      options.txns_per_thread = 40;
+      options.run.workload.txns_per_thread = 40;
       options.seeds = budget;
       options.shrink = true;
-      if (faults) options.faults = "drop:0.01,dup:0.01,crash:2@500ms+100ms";
+      if (faults) options.run.faults = ChaosPlan();
       harness::LazychkResult result = harness::RunLazychk(options);
       for (const harness::LazychkViolation& v : result.violations) {
         ADD_FAILURE() << core::ProtocolName(protocol)

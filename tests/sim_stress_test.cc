@@ -7,11 +7,18 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
-#include "sim/primitives.h"
+#include "runtime/primitives.h"
+#include "runtime/sim_runtime.h"
 #include "sim/simulator.h"
 
 namespace lazyrep::sim {
 namespace {
+
+using runtime::Mailbox;
+using runtime::Resource;
+using runtime::SimRuntime;
+using runtime::WaitGroup;
+using runtime::WaitQueue;
 
 TEST(SimStress, ThousandsOfInterleavedProcesses) {
   Simulator sim;
@@ -43,8 +50,9 @@ TEST(SimStress, ResourceConservationUnderChurn) {
   // N workers hammer a capacity-3 resource; at every completion the
   // available count must be within [0, 3] and total busy time must equal
   // the sum of requested work.
-  Simulator sim;
-  Resource pool(&sim, 3);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Resource pool(&rt, 3);
   Duration total_work = 0;
   Rng rng(99);
   for (int i = 0; i < 200; ++i) {
@@ -63,8 +71,9 @@ TEST(SimStress, ResourceConservationUnderChurn) {
 }
 
 TEST(SimStress, ResourceNeverExceedsCapacity) {
-  Simulator sim;
-  Resource r(&sim, 2);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Resource r(&rt, 2);
   int concurrent = 0;
   int max_concurrent = 0;
   for (int i = 0; i < 50; ++i) {
@@ -83,8 +92,9 @@ TEST(SimStress, ResourceNeverExceedsCapacity) {
 
 TEST(SimStress, MailboxFifoUnderManyProducers) {
   // Per-producer FIFO: each producer's values arrive in its send order.
-  Simulator sim;
-  Mailbox<std::pair<int, int>> mb(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Mailbox<std::pair<int, int>> mb(&rt);
   constexpr int kProducers = 20;
   constexpr int kPerProducer = 50;
   for (int p = 0; p < kProducers; ++p) {
@@ -112,15 +122,17 @@ TEST(SimStress, MailboxFifoUnderManyProducers) {
 }
 
 TEST(SimStress, WaitGroupFanOutFanIn) {
-  Simulator sim;
-  WaitGroup outer(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  WaitGroup outer(&rt);
   int total = 0;
   outer.Add(10);
   for (int i = 0; i < 10; ++i) {
-    sim.Spawn([](Simulator* s, WaitGroup* wg, int* sum, int tag)
+    sim.Spawn([](SimRuntime* r, WaitGroup* wg, int* sum, int tag)
                   -> Co<void> {
+      Simulator* s = r->simulator();
       // Nested fan-out.
-      WaitGroup inner(s);
+      WaitGroup inner(r);
       int local = 0;
       inner.Add(5);
       for (int k = 0; k < 5; ++k) {
@@ -134,7 +146,7 @@ TEST(SimStress, WaitGroupFanOutFanIn) {
       co_await inner.Wait();
       *sum += local;
       wg->Done();
-    }(&sim, &outer, &total, i));
+    }(&rt, &outer, &total, i));
   }
   bool done = false;
   sim.Spawn([](WaitGroup* wg, bool* flag) -> Co<void> {
@@ -148,9 +160,10 @@ TEST(SimStress, WaitGroupFanOutFanIn) {
 
 TEST(SimStress, DeterministicAtScale) {
   auto run = [] {
-    Simulator sim;
-    Resource cpu(&sim, 2);
-    Mailbox<int> mb(&sim);
+    SimRuntime rt;
+    Simulator& sim = *rt.simulator();
+    Resource cpu(&rt, 2);
+    Mailbox<int> mb(&rt);
     std::vector<std::pair<int, SimTime>> trace;
     Rng rng(7);
     for (int i = 0; i < 300; ++i) {
@@ -175,8 +188,9 @@ TEST(SimStress, DeterministicAtScale) {
 TEST(SimStress, ShutdownWithDeepParkedChains) {
   // Leak check target (run under ASAN): parked multi-level coroutine
   // chains are destroyed cleanly by Shutdown.
-  Simulator sim;
-  WaitQueue q(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  WaitQueue q(&rt);
   struct Rec {
     static Co<void> Park(WaitQueue* wq, int depth) {
       if (depth == 0) {

@@ -1,17 +1,27 @@
-// Tests for the discrete-event simulator core and synchronization
-// primitives (src/sim). Everything here must be deterministic.
+// Tests for the discrete-event simulator core (src/sim) and the
+// synchronization primitives (src/runtime/primitives.h) running over it
+// through `runtime::SimRuntime`. Everything here must be deterministic.
 
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "runtime/primitives.h"
+#include "runtime/sim_runtime.h"
 #include "sim/co.h"
-#include "sim/primitives.h"
 #include "sim/simulator.h"
 
 namespace lazyrep::sim {
 namespace {
+
+using runtime::Event;
+using runtime::Mailbox;
+using runtime::OneShot;
+using runtime::Resource;
+using runtime::SimRuntime;
+using runtime::WaitGroup;
+using runtime::WaitQueue;
 
 TEST(SimulatorTest, StartsAtTimeZero) {
   Simulator sim;
@@ -155,8 +165,9 @@ TEST(SimulatorTest, StopHaltsTheLoop) {
 TEST(SimulatorTest, ShutdownDestroysParkedProcessesWithoutLeaks) {
   // Run under ASAN/valgrind to detect leaks; structurally we check the
   // live-process accounting.
-  Simulator sim;
-  WaitQueue q(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  WaitQueue q(&rt);
   sim.Spawn([](WaitQueue* wq) -> Co<void> {
     co_await wq->Wait();  // Never notified.
   }(&q));
@@ -191,8 +202,9 @@ TEST(SimulatorTest, ShutdownPreservesClockAndAcceptsNewWork) {
 TEST(SimulatorTest, ResetRewindsClockForReuse) {
   // Reset = Shutdown + zeroed clock/sequence/counters: what a sweep
   // helper needs between independent runs on one simulator.
-  Simulator sim;
-  WaitQueue q(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  WaitQueue q(&rt);
   sim.Spawn([](Simulator* s, WaitQueue* wq) -> Co<void> {
     co_await s->Delay(Millis(2));
     co_await wq->Wait();  // Parked forever; Reset must reap it.
@@ -226,8 +238,9 @@ TEST(SimulatorTest, CompletedProcessesAreReaped) {
 }
 
 TEST(WaitQueueTest, NotifyOneWakesInFifoOrder) {
-  Simulator sim;
-  WaitQueue q(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  WaitQueue q(&rt);
   std::vector<int> order;
   auto waiter = [](WaitQueue* wq, std::vector<int>* ord, int tag)
       -> Co<void> {
@@ -247,8 +260,9 @@ TEST(WaitQueueTest, NotifyOneWakesInFifoOrder) {
 }
 
 TEST(EventTest, WaitersProceedAfterSet) {
-  Simulator sim;
-  Event ev(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Event ev(&rt);
   int done = 0;
   auto waiter = [](Event* e, int* d) -> Co<void> {
     co_await e->Wait();
@@ -268,8 +282,9 @@ TEST(EventTest, WaitersProceedAfterSet) {
 }
 
 TEST(OneShotTest, FirstFireWins) {
-  Simulator sim;
-  OneShot<std::string> cell(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  OneShot<std::string> cell(&rt);
   EXPECT_TRUE(cell.TryFire("first"));
   EXPECT_FALSE(cell.TryFire("second"));
   std::string got;
@@ -281,8 +296,9 @@ TEST(OneShotTest, FirstFireWins) {
 }
 
 TEST(OneShotTest, WaiterParksUntilFired) {
-  Simulator sim;
-  OneShot<int> cell(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  OneShot<int> cell(&rt);
   int got = 0;
   sim.Spawn([](OneShot<int>* c, int* out) -> Co<void> {
     *out = co_await c->Wait();
@@ -295,8 +311,9 @@ TEST(OneShotTest, WaiterParksUntilFired) {
 }
 
 TEST(WaitGroupTest, WaitReturnsWhenAllDone) {
-  Simulator sim;
-  WaitGroup wg(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  WaitGroup wg(&rt);
   bool finished = false;
   wg.Add(3);
   auto worker = [](Simulator* s, WaitGroup* g, Duration d) -> Co<void> {
@@ -316,8 +333,9 @@ TEST(WaitGroupTest, WaitReturnsWhenAllDone) {
 }
 
 TEST(MailboxTest, FifoDelivery) {
-  Simulator sim;
-  Mailbox<int> mb(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Mailbox<int> mb(&rt);
   std::vector<int> received;
   sim.Spawn([](Mailbox<int>* m, std::vector<int>* out) -> Co<void> {
     for (int i = 0; i < 3; ++i) out->push_back(co_await m->Receive());
@@ -331,8 +349,9 @@ TEST(MailboxTest, FifoDelivery) {
 }
 
 TEST(MailboxTest, ReceiverBlocksUntilSend) {
-  Simulator sim;
-  Mailbox<int> mb(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Mailbox<int> mb(&rt);
   int got = -1;
   sim.Spawn([](Mailbox<int>* m, int* out) -> Co<void> {
     *out = co_await m->Receive();
@@ -345,8 +364,9 @@ TEST(MailboxTest, ReceiverBlocksUntilSend) {
 }
 
 TEST(MailboxTest, WaitNonEmptyAllowsPeekingWithoutPop) {
-  Simulator sim;
-  Mailbox<int> mb(&sim);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Mailbox<int> mb(&rt);
   int peeked = -1;
   sim.Spawn([](Mailbox<int>* m, int* out) -> Co<void> {
     co_await m->WaitNonEmpty();
@@ -359,8 +379,9 @@ TEST(MailboxTest, WaitNonEmptyAllowsPeekingWithoutPop) {
 }
 
 TEST(ResourceTest, SerializesWorkFcfs) {
-  Simulator sim;
-  Resource cpu(&sim, 1);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Resource cpu(&rt, 1);
   std::vector<std::pair<int, SimTime>> completions;
   auto job = [](Simulator* s, Resource* r,
                 std::vector<std::pair<int, SimTime>>* out,
@@ -380,8 +401,9 @@ TEST(ResourceTest, SerializesWorkFcfs) {
 }
 
 TEST(ResourceTest, CapacityTwoRunsTwoJobsInParallel) {
-  Simulator sim;
-  Resource cpu(&sim, 2);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Resource cpu(&rt, 2);
   int done = 0;
   auto job = [](Resource* r, int* d) -> Co<void> {
     co_await r->Consume(Millis(10));
@@ -397,8 +419,9 @@ TEST(ResourceTest, CapacityTwoRunsTwoJobsInParallel) {
 }
 
 TEST(ResourceTest, ReleaseTransfersDirectlyToWaiter) {
-  Simulator sim;
-  Resource r(&sim, 1);
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  Resource r(&rt, 1);
   std::vector<int> order;
   auto holder = [](Simulator* s, Resource* res,
                    std::vector<int>* ord) -> Co<void> {
@@ -422,10 +445,11 @@ TEST(ResourceTest, ReleaseTransfersDirectlyToWaiter) {
 
 TEST(DeterminismTest, IdenticalRunsProduceIdenticalTraces) {
   auto run_once = [] {
-    Simulator sim;
+    SimRuntime rt;
+    Simulator& sim = *rt.simulator();
     std::vector<std::pair<int, SimTime>> trace;
-    Mailbox<int> mb(&sim);
-    Resource cpu(&sim, 1);
+    Mailbox<int> mb(&rt);
+    Resource cpu(&rt, 1);
     for (int i = 0; i < 5; ++i) {
       sim.Spawn([](Simulator* s, Mailbox<int>* m, Resource* r,
                    std::vector<std::pair<int, SimTime>>* t,

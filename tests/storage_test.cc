@@ -3,6 +3,7 @@
 // database with undo rollback, and the redo WAL.
 
 #include <atomic>
+#include <latch>
 #include <thread>
 #include <vector>
 
@@ -931,18 +932,12 @@ TEST(WalTest, ConcurrentAppendersAndColdReadersAreRaceFree) {
   std::atomic<bool> stop{false};
   constexpr int kWriters = 2;
   constexpr int64_t kTxnsPerWriter = 2000;
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&wal, w] {
-      for (int64_t i = 0; i < kTxnsPerWriter; ++i) {
-        wal.LogUpdate(Id(w, i), static_cast<ItemId>(i % 16), i);
-        wal.LogCommit(Id(w, i), /*sync=*/(i % 4 != 0));
-      }
-    });
-  }
-  std::thread reader([&wal, &stop] {
+  // The writers hold until the reader runs, so reads overlap appends
+  // rather than all landing after the last one.
+  std::latch reader_started(1);
+  std::thread reader([&wal, &stop, &reader_started] {
     size_t checksum = 0;
-    while (!stop.load(std::memory_order_acquire)) {
+    auto read_once = [&wal, &checksum] {
       checksum += wal.size();
       checksum += wal.size_bytes();
       checksum += wal.sync_batches();
@@ -952,9 +947,24 @@ TEST(WalTest, ConcurrentAppendersAndColdReadersAreRaceFree) {
       // total records.
       ASSERT_LE(snapshot.size(),
                 static_cast<size_t>(2 * kWriters * kTxnsPerWriter));
-    }
+    };
+    reader_started.count_down();
+    while (!stop.load(std::memory_order_acquire)) read_once();
+    // One last pass over the full log: the checksum is nonzero even when
+    // the scheduler ran every earlier pass before the first append.
+    read_once();
     EXPECT_GT(checksum, 0u);
   });
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w) {
+    writers.emplace_back([&wal, &reader_started, w] {
+      reader_started.wait();
+      for (int64_t i = 0; i < kTxnsPerWriter; ++i) {
+        wal.LogUpdate(Id(w, i), static_cast<ItemId>(i % 16), i);
+        wal.LogCommit(Id(w, i), /*sync=*/(i % 4 != 0));
+      }
+    });
+  }
   for (std::thread& t : writers) t.join();
   stop.store(true, std::memory_order_release);
   reader.join();

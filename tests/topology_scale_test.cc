@@ -24,9 +24,10 @@ std::string RunTopology(core::Protocol protocol, const std::string& topology,
                         runtime::RuntimeKind runtime, int txns,
                         uint64_t seed = 7) {
   LazychkOptions options;
-  options.protocol = protocol;
-  options.topology = topology;
-  options.txns_per_thread = txns;
+  options.run.protocol = protocol;
+  options.run.workload.topology = topology;
+  options.run.workload.txns_per_thread = txns;
+  ApplyTopology(&options.run.workload);
   core::SystemConfig config =
       LazychkConfig(options, seed, sim::SchedulePolicyConfig{});
   config.runtime = runtime;
@@ -95,9 +96,10 @@ TEST(TopologyThreads, RandomBackedge128RunsCleanUnderBackEdge) {
 // placement scans — otherwise setup is O(items × sites) again.
 TEST(TopologyScaleSetup, SystemCreateDoesNoFullPlacementScans) {
   LazychkOptions options;
-  options.protocol = core::Protocol::kDagT;
-  options.topology = "chain:96";
-  options.txns_per_thread = 1;
+  options.run.protocol = core::Protocol::kDagT;
+  options.run.workload.topology = "chain:96";
+  options.run.workload.txns_per_thread = 1;
+  ApplyTopology(&options.run.workload);
   core::SystemConfig config =
       LazychkConfig(options, /*seed=*/3, sim::SchedulePolicyConfig{});
   const long before = graph::Placement::FullScanCount();

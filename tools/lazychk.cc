@@ -13,203 +13,24 @@
 // that replays it. Exit status: 0 clean, 1 violations found, 2 usage.
 
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
+#include <vector>
 
-#include "fault/fault_plan.h"
-#include "graph/topology.h"
 #include "harness/lazychk.h"
 
 using namespace lazyrep;
 
-namespace {
-
-void PrintHelp() {
-  std::printf(
-      "lazychk — schedule-exploration checker over the sim runtime\n"
-      "\n"
-      "  --protocol=NAME   dagwt | dagt | backedge | psl | naive | eager\n"
-      "                    (dag_wt / dag_t accepted too; default dagt)\n"
-      "  --seeds=N         number of (seed, policy) runs (default 100)\n"
-      "  --first-seed=K    first seed of the sweep (default 1)\n"
-      "  --txns=K          transactions per thread per run (default 40)\n"
-      "  --workload=NAME   generator under test: table1 | ycsb_a..ycsb_f |\n"
-      "                    smallbank | tpcc_lite (docs/WORKLOADS.md;\n"
-      "                    default table1)\n"
-      "  --zipf=THETA      access-skew exponent over global hotness ranks\n"
-      "                    (default 0 = uniform)\n"
-      "  --consistency=L   serializable | snapshot | ryw: read-only txns\n"
-      "                    use lock-free MVCC snapshots under the relaxed\n"
-      "                    levels and the oracle adds the snapshot-\n"
-      "                    consistency check (default serializable;\n"
-      "                    docs/MVCC.md)\n"
-      "  --faults=SPEC     fault plan, e.g. drop:0.01,dup:0.01,\n"
-      "                    crash:2@500ms+100ms (docs/FAULTS.md)\n"
-      "  --topology=SPEC   generated scale-out copy graph with sharded\n"
-      "                    placement: chain:N | tree:N,d | fan:N |\n"
-      "                    rand:N,density (docs/SCALE.md). rand density\n"
-      "                    > 0 creates cycles: non-DAG protocols only\n"
-      "  --replication-factor=K\n"
-      "                    copies per item under --topology (default 2)\n"
-      "  --ties=0|1        perturb same-timestamp tie-breaks (default 1)\n"
-      "  --grants=0|1      randomize lock-grant order (default 1)\n"
-      "  --grant=KIND      deadlock policy under test: timeout | wait_die\n"
-      "                    (wait_die forces --grants=0; default timeout)\n"
-      "  --jitter=D        max per-message delivery jitter, e.g. 2ms,\n"
-      "                    500us, 0 (default 2ms)\n"
-      "  --batch-window=D  route every run through the coalescing\n"
-      "                    transport with this flush window, e.g. 2ms\n"
-      "                    (default 0 = batching off;\n"
-      "                    docs/PERFORMANCE.md §6)\n"
-      "  --piggyback-acks  carry cumulative acks on reverse data frames\n"
-      "  --group-commit    one WAL sync boundary per delivered batch\n"
-      "  --shrink          shrink each violation to a minimal policy\n"
-      "                    (default on; --no-shrink disables)\n"
-      "  --quiet           suppress per-violation progress on stderr\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-Result<core::Protocol> ParseProtocol(const std::string& name) {
-  if (name == "dagwt" || name == "dag_wt") return core::Protocol::kDagWt;
-  if (name == "dagt" || name == "dag_t") return core::Protocol::kDagT;
-  if (name == "backedge") return core::Protocol::kBackEdge;
-  if (name == "psl") return core::Protocol::kPsl;
-  if (name == "naive") return core::Protocol::kNaiveLazy;
-  if (name == "eager") return core::Protocol::kEager;
-  return Status::InvalidArgument("unknown protocol: " + name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   harness::LazychkOptions options;
   options.verbose = true;
-  std::string v;
-  bool grants_explicit = false;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintHelp();
-      return 0;
-    } else if (ParseFlag(arg, "--protocol", &v)) {
-      Result<core::Protocol> protocol = ParseProtocol(v);
-      if (!protocol.ok()) {
-        std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
-        return 2;
-      }
-      options.protocol = *protocol;
-    } else if (ParseFlag(arg, "--seeds", &v)) {
-      options.seeds = std::atoi(v.c_str());
-      if (options.seeds <= 0) {
-        std::fprintf(stderr, "--seeds must be positive\n");
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--first-seed", &v)) {
-      options.first_seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "--txns", &v)) {
-      options.txns_per_thread = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--workload", &v)) {
-      Result<workload::WorkloadKind> kind = workload::ParseWorkloadKind(v);
-      if (!kind.ok()) {
-        std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-        return 2;
-      }
-      options.workload = *kind;
-    } else if (ParseFlag(arg, "--zipf", &v)) {
-      options.zipf_theta = std::atof(v.c_str());
-      if (options.zipf_theta < 0) {
-        std::fprintf(stderr, "--zipf must be >= 0\n");
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--consistency", &v)) {
-      Result<storage::ConsistencyLevel> level =
-          storage::ParseConsistencyLevel(v);
-      if (!level.ok()) {
-        std::fprintf(stderr, "%s\n", level.status().ToString().c_str());
-        return 2;
-      }
-      options.consistency = *level;
-    } else if (ParseFlag(arg, "--faults", &v)) {
-      // Validate up front so a typo fails with exit 2, not a CHECK.
-      Result<fault::FaultPlan> plan = fault::FaultPlan::Parse(v);
-      if (!plan.ok()) {
-        std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-        return 2;
-      }
-      options.faults = v;
-    } else if (ParseFlag(arg, "--topology", &v)) {
-      Result<graph::TopologySpec> spec = graph::ParseTopologySpec(v);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-        return 2;
-      }
-      options.topology = spec->ToString();
-    } else if (ParseFlag(arg, "--replication-factor", &v)) {
-      options.replication_factor = std::atoi(v.c_str());
-      if (options.replication_factor < 1) {
-        std::fprintf(stderr, "--replication-factor must be >= 1\n");
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--ties", &v)) {
-      options.policy.perturb_ties = std::atoi(v.c_str()) != 0;
-    } else if (ParseFlag(arg, "--grants", &v)) {
-      options.policy.shuffle_grants = std::atoi(v.c_str()) != 0;
-      grants_explicit = true;
-    } else if (ParseFlag(arg, "--grant", &v)) {
-      if (v == "timeout") {
-        options.deadlock_policy = storage::DeadlockPolicy::kTimeoutOnly;
-      } else if (v == "wait_die" || v == "wait-die") {
-        options.deadlock_policy = storage::DeadlockPolicy::kWaitDie;
-      } else {
-        std::fprintf(stderr, "unknown --grant value '%s' "
-                             "(timeout|wait_die)\n", v.c_str());
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--jitter", &v)) {
-      Result<Duration> jitter = fault::internal::ParseDuration(v);
-      if (!jitter.ok() || *jitter < 0) {
-        std::fprintf(stderr, "bad --jitter value: %s\n", v.c_str());
-        return 2;
-      }
-      options.policy.delivery_jitter_max = *jitter;
-    } else if (ParseFlag(arg, "--batch-window", &v)) {
-      Result<Duration> window = fault::internal::ParseDuration(v);
-      if (!window.ok() || *window < 0) {
-        std::fprintf(stderr, "bad --batch-window value: %s\n", v.c_str());
-        return 2;
-      }
-      options.batching.window = *window;
-    } else if (std::strcmp(arg, "--piggyback-acks") == 0) {
-      options.batching.piggyback_acks = true;
-    } else if (std::strcmp(arg, "--group-commit") == 0) {
-      options.batching.wal_group_commit = true;
-    } else if (std::strcmp(arg, "--shrink") == 0) {
-      options.shrink = true;
-    } else if (std::strcmp(arg, "--no-shrink") == 0) {
-      options.shrink = false;
-    } else if (std::strcmp(arg, "--quiet") == 0) {
-      options.verbose = false;
-    } else {
-      std::fprintf(stderr, "unknown flag: %s (try --help)\n", arg);
-      return 2;
-    }
-  }
-
-  if (options.deadlock_policy == storage::DeadlockPolicy::kWaitDie &&
-      grants_explicit && options.policy.shuffle_grants) {
-    std::fprintf(stderr,
-                 "--grant=wait_die does not compose with --grants=1: "
-                 "wait-die decides grant order by transaction age\n");
-    return 2;
+  if (std::optional<int> exit_code = harness::HandleCommandLine(
+          argc, argv,
+          "lazychk — schedule-exploration checker over the sim runtime\n\n" +
+              harness::FlagHelp(harness::LazychkFlags(), options),
+          [&](const std::vector<std::string>& args) {
+            return harness::ParseLazychkArgs(args, &options);
+          })) {
+    return *exit_code;
   }
 
   int last_pct = -1;

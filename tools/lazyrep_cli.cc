@@ -7,316 +7,39 @@
 // Run with --help for the full list.
 
 #include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <string>
 
 #include "core/system.h"
-#include "fault/fault_plan.h"
-#include "graph/topology.h"
 #include "harness/experiment.h"
+#include "harness/flags.h"
 #include "obs/chrome_trace.h"
 #include "obs/prometheus.h"
 
 using namespace lazyrep;
 
-namespace {
-
-void PrintHelp() {
-  std::printf(
-      "lazyrep_cli — Breitbart et al. (SIGMOD 1999) replication simulator\n"
-      "\n"
-      "  --protocol=NAME   dagwt | dagt | backedge | psl | naive | eager\n"
-      "                    (default backedge)\n"
-      "  --sites=M         number of sites (default 9)\n"
-      "  --per-machine=K   sites per machine sharing a CPU (default 3)\n"
-      "  --items=N         number of items (default 200)\n"
-      "  --r=P             replication probability (default 0.2)\n"
-      "  --s=P             site probability (default 0.5)\n"
-      "  --b=P             backedge probability (default 0.2)\n"
-      "  --ops=K           operations per transaction (default 10)\n"
-      "  --threads=K       threads per site (default 3)\n"
-      "  --txns=K          transactions per thread (default 1000)\n"
-      "  --read-op=P       read-operation probability (default 0.7)\n"
-      "  --read-txn=P      read-only-transaction probability (default 0.5)\n"
-      "  --workload=NAME   table1 | ycsb_a..ycsb_f | smallbank | tpcc_lite\n"
-      "                    (docs/WORKLOADS.md; default table1)\n"
-      "  --zipf=THETA      access-skew exponent over one global hotness\n"
-      "                    permutation (default 0 = uniform)\n"
-      "  --consistency=L   serializable | snapshot | ryw (default\n"
-      "                    serializable): the relaxed levels serve\n"
-      "                    read-only transactions lock-free from MVCC\n"
-      "                    snapshots at the site watermark; ryw adds\n"
-      "                    read-your-writes session floors (docs/MVCC.md)\n"
-      "  --hot-seed=K      seed of the hotness permutation (default 1)\n"
-      "  --scan-len=K      YCSB-E max scan length (default 8)\n"
-      "  --remote=P        tpcc_lite multi-partition probability\n"
-      "                    (default 0.1)\n"
-      "  --topology=SPEC   generated scale-out copy graph with per-item\n"
-      "                    sharded placement (docs/SCALE.md): chain:N |\n"
-      "                    tree:N,d | fan:N | rand:N,density. Overrides\n"
-      "                    --sites; rand density > 0 creates cycles and\n"
-      "                    needs --protocol=backedge/psl/naive/eager\n"
-      "  --replication-factor=K\n"
-      "                    copies per item (primary included) under\n"
-      "                    --topology (default 2)\n"
-      "  --latency-ms=X    one-way network latency (default 0.15)\n"
-      "  --timeout-ms=X    deadlock lock-wait timeout (default 50)\n"
-      "  --seed=K          experiment seed (default 1)\n"
-      "  --seeds=K         average over K seeds (default 1)\n"
-      "  --runtime=KIND    sim | threads (default sim). sim is the\n"
-      "                    deterministic discrete-event backend; threads\n"
-      "                    runs each machine on an OS thread and reports\n"
-      "                    measured wall-clock metrics\n"
-      "  --workers=N       worker lanes per machine (threads runtime\n"
-      "                    only; default 1). A site's transactions spread\n"
-      "                    over its machine's lanes\n"
-      "  --lock-stripes=N  hash stripes per site lock table (default 8)\n"
-      "  --deadlock=KIND   timeout | wait_die (default timeout): abort a\n"
-      "                    lock waiter only on timeout, or also kill any\n"
-      "                    younger requester that would wait on an older\n"
-      "                    holder (wait-die prevention)\n"
-      "  --lock-timeout=X  alias for --timeout-ms\n"
-      "  --retry           retry aborted transactions until they commit\n"
-      "  --tree=KIND       chain | greedy (default chain)\n"
-      "  --backedges=M     site-order | dfs | greedy | weighted\n"
-      "  --detection       waits-for deadlock detection (default timeout)\n"
-      "  --lww             last-writer-wins reconciliation (naive only)\n"
-      "  --wal             maintain per-site redo WALs\n"
-      "  --faults=SPEC     fault plan, e.g. drop:0.01,dup:0.01,\n"
-      "                    delay:2ms,crash:1@500ms+100ms (docs/FAULTS.md;\n"
-      "                    crash faults imply --wal)\n"
-      "  --batch-window=X  coalesce posts per channel for X ms and ship\n"
-      "                    them as one batch frame (default 0 = off;\n"
-      "                    docs/PERFORMANCE.md §6)\n"
-      "  --batch-bytes=N   size threshold that flushes a channel's batch\n"
-      "                    buffer early (default 16384)\n"
-      "  --piggyback-acks  carry cumulative acks on reverse-direction\n"
-      "                    data frames instead of standalone ChannelAcks\n"
-      "  --group-commit    one WAL sync boundary per delivered batch at\n"
-      "                    the secondaries (implies --wal)\n"
-      "  --no-check        skip history recording / serializability check\n"
-      "  --trace=FILE      write a JSONL protocol event trace (single run)\n"
-      "  --metrics-out=F   write a Prometheus text metrics snapshot taken\n"
-      "                    at quiescence (single run)\n"
-      "  --trace-out=F     write a Chrome trace_event JSON timeline (load\n"
-      "                    in Perfetto / chrome://tracing; implies\n"
-      "                    tracing; single run)\n"
-      "  --warmup-ms=X     exclude transactions starting before X ms\n"
-      "  --per-site        print the per-site breakdown (single run)\n"
-      "  --hist            print the response-time histogram (single run)\n");
-}
-
-bool ParseFlag(const char* arg, const char* name, std::string* value) {
-  size_t len = std::strlen(name);
-  if (std::strncmp(arg, name, len) == 0 && arg[len] == '=') {
-    *value = arg + len + 1;
-    return true;
-  }
-  return false;
-}
-
-Result<core::Protocol> ParseProtocol(const std::string& name) {
-  if (name == "dagwt") return core::Protocol::kDagWt;
-  if (name == "dagt") return core::Protocol::kDagT;
-  if (name == "backedge") return core::Protocol::kBackEdge;
-  if (name == "psl") return core::Protocol::kPsl;
-  if (name == "naive") return core::Protocol::kNaiveLazy;
-  if (name == "eager") return core::Protocol::kEager;
-  return Status::InvalidArgument("unknown protocol: " + name);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  core::SystemConfig config = harness::PaperConfig(core::Protocol::kBackEdge);
-  int seeds = 1;
-  bool per_site = false;
-  bool histogram = false;
-  std::string trace_path;
-  std::string metrics_out;
-  std::string trace_out;
-  std::string v;
-  for (int i = 1; i < argc; ++i) {
-    const char* arg = argv[i];
-    if (std::strcmp(arg, "--help") == 0 || std::strcmp(arg, "-h") == 0) {
-      PrintHelp();
-      return 0;
-    } else if (ParseFlag(arg, "--protocol", &v)) {
-      Result<core::Protocol> protocol = ParseProtocol(v);
-      if (!protocol.ok()) {
-        std::fprintf(stderr, "%s\n", protocol.status().ToString().c_str());
-        return 2;
-      }
-      config.protocol = *protocol;
-    } else if (ParseFlag(arg, "--sites", &v)) {
-      config.workload.num_sites = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--per-machine", &v)) {
-      config.workload.sites_per_machine = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--items", &v)) {
-      config.workload.num_items = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--r", &v)) {
-      config.workload.replication_prob = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "--s", &v)) {
-      config.workload.site_prob = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "--b", &v)) {
-      config.workload.backedge_prob = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "--ops", &v)) {
-      config.workload.ops_per_txn = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--threads", &v)) {
-      config.workload.threads_per_site = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--txns", &v)) {
-      config.workload.txns_per_thread = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--read-op", &v)) {
-      config.workload.read_op_prob = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "--read-txn", &v)) {
-      config.workload.read_txn_prob = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "--workload", &v)) {
-      Result<workload::WorkloadKind> kind = workload::ParseWorkloadKind(v);
-      if (!kind.ok()) {
-        std::fprintf(stderr, "%s\n", kind.status().ToString().c_str());
-        return 2;
-      }
-      config.workload.workload = *kind;
-    } else if (ParseFlag(arg, "--zipf", &v)) {
-      config.workload.zipf_theta = std::atof(v.c_str());
-      if (config.workload.zipf_theta < 0) {
-        std::fprintf(stderr, "--zipf must be >= 0\n");
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--consistency", &v)) {
-      Result<storage::ConsistencyLevel> level =
-          storage::ParseConsistencyLevel(v);
-      if (!level.ok()) {
-        std::fprintf(stderr, "%s\n", level.status().ToString().c_str());
-        return 2;
-      }
-      config.consistency = *level;
-    } else if (ParseFlag(arg, "--topology", &v)) {
-      Result<graph::TopologySpec> spec = graph::ParseTopologySpec(v);
-      if (!spec.ok()) {
-        std::fprintf(stderr, "%s\n", spec.status().ToString().c_str());
-        return 2;
-      }
-      harness::ApplyTopology(v, /*replication_factor=*/0,
-                             &config.workload);
-    } else if (ParseFlag(arg, "--replication-factor", &v)) {
-      config.workload.replication_factor = std::atoi(v.c_str());
-      if (config.workload.replication_factor < 1) {
-        std::fprintf(stderr, "--replication-factor must be >= 1\n");
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--hot-seed", &v)) {
-      config.workload.hot_rank_seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "--scan-len", &v)) {
-      config.workload.ycsb_scan_len = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--remote", &v)) {
-      config.workload.remote_txn_prob = std::atof(v.c_str());
-    } else if (ParseFlag(arg, "--latency-ms", &v)) {
-      config.workload.network_latency = Millis(std::atof(v.c_str()));
-    } else if (ParseFlag(arg, "--timeout-ms", &v) ||
-               ParseFlag(arg, "--lock-timeout", &v)) {
-      config.workload.deadlock_timeout = Millis(std::atof(v.c_str()));
-    } else if (ParseFlag(arg, "--workers", &v)) {
-      config.workers_per_site = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--lock-stripes", &v)) {
-      config.engine.lock_stripes = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--deadlock", &v)) {
-      if (v == "timeout") {
-        config.engine.deadlock_policy = storage::DeadlockPolicy::kTimeoutOnly;
-      } else if (v == "wait_die" || v == "wait-die") {
-        config.engine.deadlock_policy = storage::DeadlockPolicy::kWaitDie;
-      } else {
-        std::fprintf(stderr, "unknown deadlock policy '%s' "
-                             "(timeout|wait_die)\n", v.c_str());
-        return 2;
-      }
-    } else if (ParseFlag(arg, "--seed", &v)) {
-      config.seed = std::strtoull(v.c_str(), nullptr, 10);
-    } else if (ParseFlag(arg, "--seeds", &v)) {
-      seeds = std::atoi(v.c_str());
-    } else if (ParseFlag(arg, "--runtime", &v)) {
-      if (v == "sim") {
-        config.runtime = runtime::RuntimeKind::kSim;
-      } else if (v == "threads") {
-        config.runtime = runtime::RuntimeKind::kThreads;
-      } else {
-        std::fprintf(stderr, "unknown runtime '%s' (sim|threads)\n",
-                     v.c_str());
-        return 2;
-      }
-    } else if (std::strcmp(arg, "--retry") == 0) {
-      config.retry = core::RetryPolicy::kRetryUntilCommit;
-    } else if (ParseFlag(arg, "--tree", &v)) {
-      config.engine.tree =
-          v == "greedy" ? core::TreeKind::kGreedy : core::TreeKind::kChain;
-    } else if (ParseFlag(arg, "--backedges", &v)) {
-      if (v == "dfs") {
-        config.engine.backedge_method = core::BackedgeMethod::kDfs;
-      } else if (v == "greedy") {
-        config.engine.backedge_method = core::BackedgeMethod::kGreedy;
-      } else if (v == "weighted") {
-        config.engine.backedge_method =
-            core::BackedgeMethod::kWeightedGreedy;
-      } else {
-        config.engine.backedge_method = core::BackedgeMethod::kSiteOrder;
-      }
-    } else if (std::strcmp(arg, "--detection") == 0) {
-      config.engine.deadlock_policy =
-          storage::DeadlockPolicy::kLocalDetection;
-    } else if (std::strcmp(arg, "--lww") == 0) {
-      config.engine.naive_lww = true;
-    } else if (std::strcmp(arg, "--wal") == 0) {
-      config.enable_wal = true;
-    } else if (ParseFlag(arg, "--faults", &v)) {
-      Result<fault::FaultPlan> plan = fault::FaultPlan::Parse(v);
-      if (!plan.ok()) {
-        std::fprintf(stderr, "%s\n", plan.status().ToString().c_str());
-        return 2;
-      }
-      config.faults = *plan;
-      // Crash recovery replays the WAL; switch it on rather than make
-      // the user pair the flags by hand.
-      if (!plan->crashes.empty()) config.enable_wal = true;
-    } else if (ParseFlag(arg, "--batch-window", &v)) {
-      config.batching.window = Millis(std::atof(v.c_str()));
-    } else if (ParseFlag(arg, "--batch-bytes", &v)) {
-      config.batching.max_bytes =
-          static_cast<size_t>(std::strtoull(v.c_str(), nullptr, 10));
-    } else if (std::strcmp(arg, "--piggyback-acks") == 0) {
-      config.batching.piggyback_acks = true;
-    } else if (std::strcmp(arg, "--group-commit") == 0) {
-      config.batching.wal_group_commit = true;
-      config.enable_wal = true;  // The boundary needs a log to seal.
-    } else if (std::strcmp(arg, "--no-check") == 0) {
-      config.check_serializability = false;
-    } else if (ParseFlag(arg, "--trace", &v)) {
-      trace_path = v;
-      config.enable_trace = true;
-    } else if (ParseFlag(arg, "--metrics-out", &v)) {
-      metrics_out = v;
-    } else if (ParseFlag(arg, "--trace-out", &v)) {
-      trace_out = v;
-      config.enable_trace = true;
-    } else if (ParseFlag(arg, "--warmup-ms", &v)) {
-      config.warmup = Millis(std::atof(v.c_str()));
-    } else if (std::strcmp(arg, "--per-site") == 0) {
-      per_site = true;
-    } else if (std::strcmp(arg, "--hist") == 0) {
-      histogram = true;
-    } else {
-      std::fprintf(stderr, "unknown flag '%s' (see --help)\n", arg);
-      return 2;
-    }
+  harness::CliOptions options;
+  if (std::optional<int> exit_code = harness::HandleCommandLine(
+          argc, argv,
+          "lazyrep_cli — Breitbart et al. (SIGMOD 1999) replication "
+          "simulator\n\n" +
+              harness::FlagHelp(harness::CliFlags(), options),
+          [&](const std::vector<std::string>& args) {
+            return harness::ParseCliArgs(args, &options);
+          })) {
+    return *exit_code;
   }
+  const core::SystemConfig& config = options.config;
 
   std::printf("# %s | %s | seed=%llu seeds=%d runtime=%s\n",
               core::ProtocolName(config.protocol).c_str(),
               config.workload.ToString().c_str(),
-              static_cast<unsigned long long>(config.seed), seeds,
+              static_cast<unsigned long long>(config.seed), options.seeds,
               runtime::RuntimeKindName(config.runtime));
 
-  // Validate the configuration once up front for a friendly error.
+  // Flags and Validate passed; assembly can still reject the placement
+  // (a DAG protocol on a cyclic copy graph).
   {
     Result<std::unique_ptr<core::System>> probe =
         core::System::Create(config);
@@ -329,51 +52,52 @@ int main(int argc, char** argv) {
 
   // Outputs that describe one concrete run (histograms, per-site tables,
   // traces, metric snapshots) don't mix with seed averaging: run once.
-  const bool single_run = histogram || per_site || !trace_path.empty() ||
-                          !metrics_out.empty() || !trace_out.empty();
+  const bool single_run =
+      options.histogram || options.per_site || !options.trace_path.empty() ||
+      !options.metrics_out.empty() || !options.trace_out.empty();
   if (single_run) {
     auto system = core::System::Create(config);
     LAZYREP_CHECK(system.ok());
     core::RunMetrics metrics = (*system)->Run();
-    if (!metrics_out.empty()) {
-      std::ofstream out(metrics_out);
+    if (!options.metrics_out.empty()) {
+      std::ofstream out(options.metrics_out);
       if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
+        std::fprintf(stderr, "cannot open %s\n", options.metrics_out.c_str());
         return 1;
       }
       obs::WritePrometheus((*system)->obs_registry(), out);
-      std::printf("metrics: %s\n", metrics_out.c_str());
+      std::printf("metrics: %s\n", options.metrics_out.c_str());
     }
-    if (!trace_out.empty()) {
-      std::ofstream out(trace_out);
+    if (!options.trace_out.empty()) {
+      std::ofstream out(options.trace_out);
       if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", trace_out.c_str());
+        std::fprintf(stderr, "cannot open %s\n", options.trace_out.c_str());
         return 1;
       }
       obs::WriteChromeTrace(*(*system)->trace(), out);
       std::printf("trace_event: %zu events -> %s%s\n",
-                  (*system)->trace()->size(), trace_out.c_str(),
+                  (*system)->trace()->size(), options.trace_out.c_str(),
                   (*system)->trace()->truncated() ? " (truncated)" : "");
     }
-    if (!trace_path.empty()) {
-      std::ofstream out(trace_path);
+    if (!options.trace_path.empty()) {
+      std::ofstream out(options.trace_path);
       if (!out) {
-        std::fprintf(stderr, "cannot open %s\n", trace_path.c_str());
+        std::fprintf(stderr, "cannot open %s\n", options.trace_path.c_str());
         return 1;
       }
       (*system)->trace()->WriteJsonl(out);
       std::printf("trace: %zu events -> %s%s\n",
-                  (*system)->trace()->size(), trace_path.c_str(),
+                  (*system)->trace()->size(), options.trace_path.c_str(),
                   (*system)->trace()->truncated() ? " (truncated)" : "");
     }
-    if (histogram) {
+    if (options.histogram) {
       std::printf("response time distribution (ms):\n%s",
                   metrics.response_histogram.ToString().c_str());
       std::printf("p50=%.2f p95=%.2f p99=%.2f max=%.2f\n",
                   metrics.response_p50_ms, metrics.response_p95_ms,
                   metrics.response_p99_ms, metrics.response_ms.max());
     }
-    if (per_site) {
+    if (options.per_site) {
       std::printf("%-6s %-12s %-10s %-12s\n", "site", "committed",
                   "aborted", "txn/s");
       for (const core::SiteMetrics& s : metrics.per_site) {
@@ -396,7 +120,7 @@ int main(int argc, char** argv) {
     return metrics.serializable && metrics.snapshots_consistent ? 0 : 1;
   }
 
-  harness::AggregateResult result = harness::RunSeeds(config, seeds);
+  harness::AggregateResult result = harness::RunSeeds(config, options.seeds);
   std::printf("throughput      %.2f txn/s per site (sd %.2f over seeds)\n",
               result.throughput, result.throughput_sd);
   std::printf("abort rate      %.2f %%\n", result.abort_rate_pct);
