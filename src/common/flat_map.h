@@ -16,7 +16,8 @@ namespace lazyrep {
 /// tree node per entry. Built once from a range or an initializer list
 /// and then only looked up and iterated, in ascending key order, like a
 /// const `std::map`. As with `std::map`'s range constructor, the first
-/// of several entries with the same key wins.
+/// of several entries with the same key wins. Its one block may be
+/// borrowed, as a CompactArray's.
 template <typename K, typename V>
 class FlatMap {
  public:
@@ -53,6 +54,17 @@ class FlatMap {
   const_iterator end() const { return entries_.end(); }
   size_t size() const { return entries_.size(); }
   bool empty() const { return entries_.empty(); }
+
+  /// As CompactArray's: the entries' block size, and a map borrowing a
+  /// copy of it placed in `storage`.
+  static constexpr size_t kBlockAlign =
+      CompactArray<value_type>::kBlockAlign;
+  size_t block_bytes() const { return entries_.block_bytes(); }
+  FlatMap BorrowCopy(void* storage) const {
+    FlatMap out;
+    out.entries_ = entries_.BorrowCopy(storage);
+    return out;
+  }
 
   const_iterator find(const K& key) const {
     const_iterator it = std::lower_bound(

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <functional>
-#include <map>
+#include <tuple>
 #include <unordered_map>
 
 #include "common/check.h"
@@ -26,6 +26,15 @@ void Normalize(CompactArray<ItemId>* items) {
   *items = sorted;
 }
 
+/// Arena blocks start at multiples of this.
+constexpr size_t kArenaAlign = 8;
+static_assert(CompactArray<ItemId>::kBlockAlign <= kArenaAlign);
+static_assert(FlatMap<ItemId, Value>::kBlockAlign <= kArenaAlign);
+
+size_t ArenaBytes(size_t block_bytes) {
+  return (block_bytes + kArenaAlign - 1) / kArenaAlign * kArenaAlign;
+}
+
 struct TxnIdHash {
   size_t operator()(const GlobalTxnId& id) const noexcept {
     return std::hash<uint64_t>()(
@@ -47,7 +56,9 @@ struct Commit {
 std::vector<Commit> CommitOrder(const HistoryRecorder& history,
                                 std::vector<GlobalTxnId>* id_of) {
   std::vector<Commit> order;
-  order.reserve(history.records().size());
+  order.reserve(std::count_if(history.records().begin(),
+                              history.records().end(),
+                              [](const Record& r) { return !r.snapshot; }));
   std::unordered_map<GlobalTxnId, int, TxnIdHash> node_of;
   for (const Record& r : history.records()) {
     // Snapshot reads never hold locks and never enter the site's commit
@@ -153,8 +164,39 @@ void HistoryRecorder::OnSnapshotRead(SiteId site,
 void HistoryRecorder::AddRecord(Record record) {
   Normalize(&record.reads);
   Normalize(&record.writes);
+  const size_t bytes = ArenaBytes(record.reads.block_bytes()) +
+                       ArenaBytes(record.writes.block_bytes()) +
+                       ArenaBytes(record.reads_observed.block_bytes()) +
+                       ArenaBytes(record.writes_final.block_bytes());
   std::lock_guard<std::mutex> lock(mu_);
+  char* at = Carve(bytes);
+  auto borrow = [&at](auto* block) {
+    const size_t block_bytes = block->block_bytes();
+    *block = block->BorrowCopy(at);
+    at += ArenaBytes(block_bytes);
+  };
+  borrow(&record.reads);
+  borrow(&record.writes);
+  borrow(&record.reads_observed);
+  borrow(&record.writes_final);
   records_.push_back(std::move(record));
+}
+
+char* HistoryRecorder::Carve(size_t bytes) {
+  if (bytes == 0) return nullptr;
+  auto new_chunk = [this](size_t size) {
+    return chunks_.emplace_back(std::make_unique_for_overwrite<char[]>(size))
+        .get();
+  };
+  if (bytes > kChunkBytes) return new_chunk(bytes);  // Current one stays.
+  if (bytes > tail_bytes_) {
+    tail_ = new_chunk(kChunkBytes);
+    tail_bytes_ = kChunkBytes;
+  }
+  char* out = tail_;
+  tail_ += bytes;
+  tail_bytes_ -= bytes;
+  return out;
 }
 
 std::string SerializabilityVerdict::ToString() const {
@@ -177,30 +219,30 @@ SerializabilityVerdict CheckSerializability(
   const std::vector<Commit> order = CommitOrder(history, &id_of);
   const size_t num_nodes = id_of.size();
 
-  // The conflict edges, packed (from << 32 | to). Counted first so that
-  // the array is allocated once at its exact size: growing it by doubling
-  // would briefly hold up to three times the edges.
-  size_t raw_count = 0;
-  ReplayConflicts(order, [&raw_count](int, int) { ++raw_count; });
-  std::vector<uint64_t> raw;
-  raw.reserve(raw_count);
-  ReplayConflicts(order, [&raw](int from, int to) {
-    raw.push_back(static_cast<uint64_t>(from) << 32 |
-                  static_cast<uint32_t>(to));
-  });
-
-  // Compressed sparse rows: each node's successors in ascending order,
-  // the order the DFS below visits them in.
-  std::sort(raw.begin(), raw.end());
-  raw.erase(std::unique(raw.begin(), raw.end()), raw.end());
+  // Compressed sparse rows, built in place: count each node's out-degree
+  // into `first`, turn the counts into row ends, fill each row back to
+  // front (leaving `first[v]` at row v's start), then sort, deduplicate
+  // and compact each row. The DFS below visits successors in that order.
   std::vector<size_t> first(num_nodes + 1, 0);
-  std::vector<int> succ(raw.size());
-  for (size_t e = 0; e < raw.size(); ++e) {
-    ++first[(raw[e] >> 32) + 1];
-    succ[e] = static_cast<int>(raw[e] & 0xffffffffu);
+  ReplayConflicts(order, [&first](int from, int) { ++first[from]; });
+  for (size_t v = 1; v <= num_nodes; ++v) first[v] += first[v - 1];
+  std::vector<int> succ(first[num_nodes]);
+  ReplayConflicts(order, [&first, &succ](int from, int to) {
+    succ[--first[from]] = to;
+  });
+  size_t kept = 0;
+  for (size_t v = 0; v < num_nodes; ++v) {
+    int* row = succ.data() + first[v];
+    int* row_end = succ.data() + first[v + 1];
+    std::sort(row, row_end);
+    row_end = std::unique(row, row_end);
+    int* out = succ.data() + kept;
+    if (out != row) std::move(row, row_end, out);
+    first[v] = kept;
+    kept += static_cast<size_t>(row_end - row);
   }
-  for (size_t v = 0; v < num_nodes; ++v) first[v + 1] += first[v];
-  raw = {};
+  first[num_nodes] = kept;
+  succ.resize(kept);
 
   verdict.nodes = num_nodes;
   verdict.edges = succ.size();
@@ -280,31 +322,38 @@ ReadConsistencyVerdict CheckReadConsistency(
 SnapshotConsistencyVerdict CheckSnapshotConsistency(
     const HistoryRecorder& history) {
   SnapshotConsistencyVerdict verdict;
+  size_t num_writes = 0;
+  bool any_snapshot = false;
+  for (const Record& r : history.records()) {
+    if (r.snapshot) {
+      any_snapshot = true;
+    } else {
+      num_writes += r.writes_final.size();
+    }
+  }
+  if (!any_snapshot) return verdict;
 
-  // Per (site, item): committed writes ordered by local commit sequence.
+  // Every committed write, sorted once by (site, item, commit_seq): each
+  // (site, item)'s writes are one run, in local commit order.
   struct Write {
+    SiteId site;
+    ItemId item;
     int64_t commit_seq;
     Value value;
   };
-  std::map<SiteId, std::unordered_map<ItemId, std::vector<Write>>> writes;
-  std::vector<const Record*> snapshots;
+  auto before = [](const Write& a, const Write& b) {
+    return std::tie(a.site, a.item, a.commit_seq) <
+           std::tie(b.site, b.item, b.commit_seq);
+  };
+  std::vector<Write> writes;
+  writes.reserve(num_writes);
   for (const Record& r : history.records()) {
-    if (r.snapshot) {
-      snapshots.push_back(&r);
-      continue;
-    }
+    if (r.snapshot) continue;
     for (const auto& [item, value] : r.writes_final) {
-      writes[r.site][item].push_back({r.commit_seq, value});
+      writes.push_back({r.site, item, r.commit_seq, value});
     }
   }
-  for (auto& [site, per_item] : writes) {
-    for (auto& [item, stream] : per_item) {
-      std::sort(stream.begin(), stream.end(),
-                [](const Write& a, const Write& b) {
-                  return a.commit_seq < b.commit_seq;
-                });
-    }
-  }
+  std::sort(writes.begin(), writes.end(), before);
 
   auto fail = [&](std::string message) {
     if (!verdict.consistent) return;
@@ -312,40 +361,36 @@ SnapshotConsistencyVerdict CheckSnapshotConsistency(
     verdict.violation = std::move(message);
   };
 
-  for (const Record* r : snapshots) {
+  for (const Record& r : history.records()) {
+    if (!r.snapshot) continue;
     ++verdict.snapshots_checked;
-    const int64_t stamp = r->snapshot_stamp;
-    if (r->session_floor > stamp) {
+    const int64_t stamp = r.snapshot_stamp;
+    if (r.session_floor > stamp) {
       fail(StrPrintf(
           "site %d: snapshot s%d#%lld at stamp %lld below its session "
           "floor %lld (read-your-writes violated)",
-          r->site, r->origin.origin_site,
-          static_cast<long long>(r->origin.seq),
+          r.site, r.origin.origin_site, static_cast<long long>(r.origin.seq),
           static_cast<long long>(stamp),
-          static_cast<long long>(r->session_floor)));
+          static_cast<long long>(r.session_floor)));
     }
-    auto site_it = writes.find(r->site);
-    for (const auto& [item, observed] : r->reads_observed) {
+    for (const auto& [item, observed] : r.reads_observed) {
       ++verdict.reads_checked;
       // Visible cut: commits with commit_seq + 1 <= stamp, i.e. the
-      // site's history strictly before commit_seq == stamp.
+      // site's history strictly before commit_seq == stamp. Its last
+      // write to the item sits just below the cut's end in `writes`.
       Value expected = 0;  // Initial value when no visible writer.
-      if (site_it != writes.end()) {
-        auto item_it = site_it->second.find(item);
-        if (item_it != site_it->second.end()) {
-          const std::vector<Write>& stream = item_it->second;
-          auto pos = std::lower_bound(
-              stream.begin(), stream.end(), stamp,
-              [](const Write& w, int64_t s) { return w.commit_seq < s; });
-          if (pos != stream.begin()) expected = std::prev(pos)->value;
-        }
+      auto pos = std::lower_bound(writes.begin(), writes.end(),
+                                  Write{r.site, item, stamp, 0}, before);
+      if (pos != writes.begin()) {
+        const Write& last = *std::prev(pos);
+        if (last.site == r.site && last.item == item) expected = last.value;
       }
       if (observed != expected) {
         fail(StrPrintf(
             "site %d: snapshot s%d#%lld at stamp %lld read item %d = "
             "%lld, expected %lld",
-            r->site, r->origin.origin_site,
-            static_cast<long long>(r->origin.seq),
+            r.site, r.origin.origin_site,
+            static_cast<long long>(r.origin.seq),
             static_cast<long long>(stamp), item,
             static_cast<long long>(observed),
             static_cast<long long>(expected)));

@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -22,8 +23,10 @@ class HistoryRecorder : public storage::HistoryObserver {
  public:
   /// One committed (sub)transaction. Access sets are sorted, duplicate-
   /// free arrays and the value maps sorted-array maps, each one pointer
-  /// in the record: a record is an 80-byte header plus at most four
-  /// small heap blocks.
+  /// in the record. A held record's four blocks are borrowed from the
+  /// recorder's arena, so it is an 80-byte header plus its packed
+  /// payload; a copy (`Record(r)`) owns heap copies and outlives the
+  /// recorder.
   struct Record {
     SiteId site;
     /// MVCC snapshot read-only transaction (never holds locks, never
@@ -55,9 +58,10 @@ class HistoryRecorder : public storage::HistoryObserver {
 
   /// Appends a record (scripted histories in tests/examples pass theirs
   /// directly), sorting and deduplicating its read and write sets: the
-  /// checkers rely on that order. Internally synchronized: sites on every
-  /// machine record here. The checkers read `records()` only after the
-  /// run has fully drained.
+  /// checkers rely on that order. The record's blocks are copied into the
+  /// arena, where the held record borrows them. Internally synchronized:
+  /// sites on every machine record here. The checkers read `records()`
+  /// only after the run has fully drained.
   void AddRecord(Record record);
 
   /// Chunked storage: appending never moves the records already held, so
@@ -68,7 +72,21 @@ class HistoryRecorder : public storage::HistoryObserver {
   }
 
  private:
+  /// A little under 256 KiB, so that a chunk and malloc's header for it
+  /// fill whole pages.
+  static constexpr size_t kChunkBytes = (size_t{256} << 10) - 64;
+
+  /// Returns `bytes` of arena space (null for none): from the current
+  /// chunk, from a fresh one when it is full, or from a chunk of its own
+  /// when more than a chunk is asked for. Requires `mu_`.
+  char* Carve(size_t bytes);
+
   std::mutex mu_;
+  // The arena: the chunks holding every record's payload. Declared before
+  // `records_`, so that the chunks outlive the records borrowing them.
+  std::vector<std::unique_ptr<char[]>> chunks_;
+  char* tail_ = nullptr;  // Unused tail of the current chunk.
+  size_t tail_bytes_ = 0;
   std::deque<Record> records_;
   std::atomic<int64_t> aborts_{0};
 };

@@ -3,12 +3,18 @@
 
 #include <algorithm>
 #include <map>
+#include <ranges>
 #include <set>
+#include <string>
+#include <unordered_map>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/strings.h"
 #include "core/history.h"
 #include "runtime/sim_runtime.h"
 
@@ -322,13 +328,149 @@ TEST(RecorderTest, AddRecordSortsAndDeduplicatesAccessSets) {
   EXPECT_EQ(recorder.records()[0].writes, (std::vector<ItemId>{2, 9}));
 }
 
-// ---------------------------------------------------------------------
-// Differential test: CheckSerializability against the original
-// std::set / std::map formulation of the same edge rule, kept here as
-// the reference.
+// The recorder copies each record's four blocks into its arena, where
+// the held record borrows them. However the blocks fall across chunks, a
+// held record must read exactly as it was added, and a copy of it must
+// own its blocks.
 
-/// One scripted commit with its access lists exactly as scripted:
-/// possibly unsorted, possibly with repeats.
+/// Record `i`: `n` reads, about half as many writes listed in reverse,
+/// and a value for every read and write, all derived from `i`.
+HistoryRecorder::Record PayloadRecord(int i, int n) {
+  HistoryRecorder::Record r;
+  r.site = i % 4;
+  r.origin = Id(i % 4, i);
+  r.commit_seq = i;
+  std::vector<ItemId> reads, writes;
+  std::vector<std::pair<ItemId, Value>> observed, finals;
+  for (int j = 0; j < n; ++j) {
+    reads.push_back(i + j);
+    observed.push_back({i + j, j});
+  }
+  for (int j = n / 2; j >= 0; --j) {
+    writes.push_back(i + j);
+    finals.push_back({i + j, -j});
+  }
+  r.reads = reads;
+  r.writes = writes;
+  r.reads_observed = FlatMap<ItemId, Value>(observed.begin(), observed.end());
+  r.writes_final = FlatMap<ItemId, Value>(finals.begin(), finals.end());
+  return r;
+}
+
+/// Expects `r` to read as `PayloadRecord(i, n)` reads once added.
+void ExpectPayload(const HistoryRecorder::Record& r, int i, int n) {
+  const HistoryRecorder::Record want = PayloadRecord(i, n);
+  EXPECT_EQ(r.site, want.site);
+  EXPECT_EQ(r.origin, want.origin);
+  EXPECT_EQ(r.commit_seq, i);
+  EXPECT_EQ(r.reads, want.reads) << "record " << i;
+  std::vector<ItemId> writes(want.writes.begin(), want.writes.end());
+  std::sort(writes.begin(), writes.end());
+  EXPECT_EQ(r.writes, writes) << "record " << i;
+  EXPECT_EQ(r.reads_observed, want.reads_observed) << "record " << i;
+  EXPECT_EQ(r.writes_final, want.writes_final) << "record " << i;
+}
+
+TEST(RecorderTest, RecordLargerThanAChunkReadsBack) {
+  // 100 000 reads with their values take about 2 MB, several chunks.
+  HistoryRecorder recorder;
+  recorder.AddRecord(PayloadRecord(0, 3));
+  recorder.AddRecord(PayloadRecord(1, 100000));
+  recorder.AddRecord(PayloadRecord(2, 3));
+  ASSERT_EQ(recorder.records().size(), 3u);
+  ExpectPayload(recorder.records()[0], 0, 3);
+  ExpectPayload(recorder.records()[1], 1, 100000);
+  ExpectPayload(recorder.records()[2], 2, 3);
+}
+
+TEST(RecorderTest, RecordsSpanningManyChunksReadBack) {
+  // About 1.4 KB a record: a few megabytes, a dozen or more chunks.
+  HistoryRecorder recorder;
+  constexpr int kRecords = 3000;
+  for (int i = 0; i < kRecords; ++i) {
+    recorder.AddRecord(PayloadRecord(i, 1 + i % 120));
+  }
+  ASSERT_EQ(recorder.records().size(), size_t{kRecords});
+  for (int i = 0; i < kRecords; ++i) {
+    ExpectPayload(recorder.records()[i], i, 1 + i % 120);
+  }
+}
+
+TEST(RecorderTest, CopiedRecordOutlivesItsRecorder) {
+  std::vector<HistoryRecorder::Record> copies;
+  {
+    HistoryRecorder recorder;
+    for (int i = 0; i < 50; ++i) recorder.AddRecord(PayloadRecord(i, 40));
+    for (const HistoryRecorder::Record& r : recorder.records()) {
+      copies.push_back(r);
+    }
+    HistoryRecorder::Record assigned;
+    assigned = recorder.records()[7];
+    copies.push_back(std::move(assigned));
+  }
+  ASSERT_EQ(copies.size(), 51u);
+  for (int i = 0; i < 50; ++i) ExpectPayload(copies[i], i, 40);
+  ExpectPayload(copies[50], 7, 40);
+  // A copy added to a second recorder reads back there too.
+  HistoryRecorder again;
+  again.AddRecord(copies[3]);
+  ExpectPayload(again.records()[0], 3, 40);
+}
+
+TEST(RecorderTest, CompactArrayLengthIsChecked) {
+  // The length word's top bit marks a borrowed block, so 2^31 elements
+  // are refused before anything is allocated.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const auto too_long = std::views::iota(int64_t{0}, int64_t{1} << 31);
+  EXPECT_DEATH(
+      (CompactArray<int64_t>(too_long.begin(), too_long.end())),
+      "CompactArray: 2147483648 elements");
+}
+
+TEST(RecorderTest, ConcurrentAddRecordIsRaceFree) {
+  // Four threads record at once, as the executors of a threads run do:
+  // header-only commits through OnCommit and payload records through
+  // AddRecord, so that the arena's chunks fill and roll over under the
+  // recorder's mutex.
+  HistoryRecorder recorder;
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 1500;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&recorder, t] {
+      const storage::Transaction txn(Id(t, -1), storage::TxnKind::kPrimary,
+                                     /*start_time=*/0, /*arrival_seq=*/0);
+      for (int k = 0; k < kPerThread; ++k) {
+        recorder.OnCommit(t, txn, k);
+        const int i = t * kPerThread + k;
+        recorder.AddRecord(PayloadRecord(i, 1 + i % 60));
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  ASSERT_EQ(recorder.records().size(), size_t{2 * kThreads * kPerThread});
+  int payloads = 0;
+  for (const HistoryRecorder::Record& r : recorder.records()) {
+    if (r.origin.seq == -1) {
+      EXPECT_TRUE(r.reads.empty() && r.writes.empty());
+      continue;
+    }
+    const int i = static_cast<int>(r.commit_seq);
+    ExpectPayload(r, i, 1 + i % 60);
+    ++payloads;
+  }
+  EXPECT_EQ(payloads, kThreads * kPerThread);
+}
+
+// ---------------------------------------------------------------------
+// Differential tests: each check against its original formulation, kept
+// here as the reference — CheckSerializability's std::set / std::map
+// edge sets, and CheckReadConsistency's and CheckSnapshotConsistency's
+// hash-map replays of per-site write streams.
+
+/// One scripted commit or snapshot read with its lists exactly as
+/// scripted: access lists possibly unsorted and repeating, value lists
+/// possibly repeating an item (the first value listed counts).
 struct ScriptedCommit {
   SiteId site;
   GlobalTxnId origin;
@@ -336,6 +478,10 @@ struct ScriptedCommit {
   std::vector<ItemId> reads;
   std::vector<ItemId> writes;
   bool snapshot = false;
+  std::vector<std::pair<ItemId, Value>> observed = {};
+  std::vector<std::pair<ItemId, Value>> finals = {};
+  int64_t snapshot_stamp = 0;
+  int64_t session_floor = 0;
 };
 
 /// Per-(site, item) access streams in a std::map, one std::set of
@@ -433,11 +579,139 @@ SerializabilityVerdict ReferenceCheck(
   return verdict;
 }
 
+/// The locking commits by ascending site and, within a site, in commit
+/// order; ties keep script order, as the recorder does.
+std::vector<const ScriptedCommit*> ReferenceCommitOrder(
+    const std::vector<ScriptedCommit>& commits) {
+  std::vector<const ScriptedCommit*> order;
+  for (const ScriptedCommit& c : commits) {
+    if (!c.snapshot) order.push_back(&c);
+  }
+  std::stable_sort(order.begin(), order.end(),
+                   [](const ScriptedCommit* a, const ScriptedCommit* b) {
+                     return a->site != b->site ? a->site < b->site
+                                               : a->commit_seq < b->commit_seq;
+                   });
+  return order;
+}
+
+/// Each site's commits replayed in order through a hash map of current
+/// values.
+ReadConsistencyVerdict ReferenceReadCheck(
+    const std::vector<ScriptedCommit>& commits) {
+  ReadConsistencyVerdict verdict;
+  const std::vector<const ScriptedCommit*> order =
+      ReferenceCommitOrder(commits);
+  std::unordered_map<ItemId, Value> current;  // Absent = initial 0.
+  for (size_t k = 0; k < order.size(); ++k) {
+    const ScriptedCommit* r = order[k];
+    if (k == 0 || order[k - 1]->site != r->site) current.clear();
+    const std::map<ItemId, Value> observed(r->observed.begin(),
+                                           r->observed.end());
+    for (const auto& [item, seen] : observed) {
+      ++verdict.reads_checked;
+      auto it = current.find(item);
+      Value expected = it == current.end() ? 0 : it->second;
+      if (seen != expected && verdict.consistent) {
+        verdict.consistent = false;
+        verdict.violation = StrPrintf(
+            "site %d: txn s%d#%lld read item %d = %lld, expected %lld",
+            r->site, r->origin.origin_site,
+            static_cast<long long>(r->origin.seq), item,
+            static_cast<long long>(seen), static_cast<long long>(expected));
+      }
+    }
+    const std::map<ItemId, Value> finals(r->finals.begin(), r->finals.end());
+    for (const auto& [item, value] : finals) current[item] = value;
+  }
+  return verdict;
+}
+
+/// Per site a hash map of per-item write streams sorted by commit order;
+/// each snapshot read binary-searched in its item's stream.
+SnapshotConsistencyVerdict ReferenceSnapshotCheck(
+    const std::vector<ScriptedCommit>& commits) {
+  SnapshotConsistencyVerdict verdict;
+  struct Write {
+    int64_t commit_seq;
+    Value value;
+  };
+  std::map<SiteId, std::unordered_map<ItemId, std::vector<Write>>> writes;
+  std::vector<const ScriptedCommit*> snapshots;
+  for (const ScriptedCommit& r : commits) {
+    if (r.snapshot) {
+      snapshots.push_back(&r);
+      continue;
+    }
+    const std::map<ItemId, Value> finals(r.finals.begin(), r.finals.end());
+    for (const auto& [item, value] : finals) {
+      writes[r.site][item].push_back({r.commit_seq, value});
+    }
+  }
+  for (auto& [site, per_item] : writes) {
+    for (auto& [item, stream] : per_item) {
+      std::sort(stream.begin(), stream.end(),
+                [](const Write& a, const Write& b) {
+                  return a.commit_seq < b.commit_seq;
+                });
+    }
+  }
+  auto fail = [&](std::string message) {
+    if (!verdict.consistent) return;
+    verdict.consistent = false;
+    verdict.violation = std::move(message);
+  };
+  for (const ScriptedCommit* r : snapshots) {
+    ++verdict.snapshots_checked;
+    const int64_t stamp = r->snapshot_stamp;
+    if (r->session_floor > stamp) {
+      fail(StrPrintf(
+          "site %d: snapshot s%d#%lld at stamp %lld below its session "
+          "floor %lld (read-your-writes violated)",
+          r->site, r->origin.origin_site,
+          static_cast<long long>(r->origin.seq),
+          static_cast<long long>(stamp),
+          static_cast<long long>(r->session_floor)));
+    }
+    auto site_it = writes.find(r->site);
+    const std::map<ItemId, Value> observed(r->observed.begin(),
+                                           r->observed.end());
+    for (const auto& [item, seen] : observed) {
+      ++verdict.reads_checked;
+      Value expected = 0;
+      if (site_it != writes.end()) {
+        auto item_it = site_it->second.find(item);
+        if (item_it != site_it->second.end()) {
+          const std::vector<Write>& stream = item_it->second;
+          auto pos = std::lower_bound(
+              stream.begin(), stream.end(), stamp,
+              [](const Write& w, int64_t s) { return w.commit_seq < s; });
+          if (pos != stream.begin()) expected = std::prev(pos)->value;
+        }
+      }
+      if (seen != expected) {
+        fail(StrPrintf(
+            "site %d: snapshot s%d#%lld at stamp %lld read item %d = "
+            "%lld, expected %lld",
+            r->site, r->origin.origin_site,
+            static_cast<long long>(r->origin.seq),
+            static_cast<long long>(stamp), item,
+            static_cast<long long>(seen), static_cast<long long>(expected)));
+      }
+    }
+  }
+  return verdict;
+}
+
 /// A random replicated history over 2-5 sites and at most 8 items: each
 /// transaction commits at its origin site and at a random subset of the
 /// others, every site in its own random order (so the union of the
-/// orders is often cyclic), with unsorted, repeating access lists and
-/// the occasional snapshot read, appended in a random order.
+/// orders is often cyclic), with unsorted, repeating access lists. A
+/// read mostly observes the value its site's replay says it must, and
+/// each write installs a fresh value; a few reads observe a wrong one.
+/// Each site may also serve snapshot reads at random stamps, a few of
+/// them wrong or below their session floor. Everything is appended in a
+/// random order.
 std::vector<ScriptedCommit> RandomHistory(Rng* rng) {
   const int sites = static_cast<int>(rng->Uniform(2, 5));
   const int items = static_cast<int>(rng->Uniform(1, 8));
@@ -446,6 +720,11 @@ std::vector<ScriptedCommit> RandomHistory(Rng* rng) {
     std::vector<ItemId> out(rng->Index(5));
     for (ItemId& i : out) i = static_cast<ItemId>(rng->Index(items));
     return out;
+  };
+  // What a read observes: `right`, or with probability `p` a wrong value.
+  auto observe = [&](Value right, double p) {
+    return rng->Bernoulli(p) ? right + 1 + static_cast<Value>(rng->Index(3))
+                             : right;
   };
   std::vector<std::vector<GlobalTxnId>> at_site(sites);
   for (int t = 0; t < txns; ++t) {
@@ -459,36 +738,85 @@ std::vector<ScriptedCommit> RandomHistory(Rng* rng) {
   std::vector<ScriptedCommit> out;
   for (SiteId s = 0; s < sites; ++s) {
     rng->Shuffle(&at_site[s]);
+    std::map<ItemId, Value> current;  // The site's replay.
+    struct Installed {
+      int64_t commit_seq;
+      ItemId item;
+      Value value;
+    };
+    std::vector<Installed> installed;  // In commit order.
     int64_t seq = static_cast<int64_t>(rng->Index(3));
     for (const GlobalTxnId& id : at_site[s]) {
       seq += 1 + static_cast<int64_t>(rng->Index(3));
-      out.push_back({s, id, seq, accesses(), accesses()});
+      ScriptedCommit c{s, id, seq, accesses(), accesses()};
+      for (ItemId i : c.reads) {
+        // Some reads take a lock but record no value (PSL proxies).
+        if (rng->Bernoulli(0.7)) {
+          c.observed.push_back({i, observe(current[i], 0.03)});
+        }
+      }
+      for (ItemId i : c.writes) {
+        c.finals.push_back({i, 1 + static_cast<Value>(rng->Index(9))});
+      }
+      for (const auto& [i, v] :
+           std::map<ItemId, Value>(c.finals.begin(), c.finals.end())) {
+        current[i] = v;
+        installed.push_back({seq, i, v});
+      }
+      out.push_back(std::move(c));
     }
-  }
-  if (rng->Bernoulli(0.3)) {
-    out.push_back({0, Id(0, 1000), -1, accesses(), {}, /*snapshot=*/true});
+    while (rng->Bernoulli(0.4)) {
+      ScriptedCommit snap{s, Id(s, 1000 + static_cast<int64_t>(out.size())),
+                          -1, accesses(), {}, /*snapshot=*/true};
+      snap.snapshot_stamp = rng->Uniform(0, seq + 2);
+      snap.session_floor = rng->Bernoulli(0.05)
+                               ? snap.snapshot_stamp + 1
+                               : rng->Uniform(0, snap.snapshot_stamp);
+      for (ItemId i : snap.reads) {
+        Value right = 0;
+        for (const Installed& w : installed) {
+          if (w.commit_seq < snap.snapshot_stamp && w.item == i) {
+            right = w.value;
+          }
+        }
+        snap.observed.push_back({i, observe(right, 0.08)});
+      }
+      out.push_back(std::move(snap));
+    }
   }
   rng->Shuffle(&out);
   return out;
 }
 
+/// Adds `script` to `recorder` in script order.
+void AddAll(const std::vector<ScriptedCommit>& script,
+            HistoryRecorder* recorder) {
+  for (const ScriptedCommit& c : script) {
+    HistoryRecorder::Record r;
+    r.site = c.site;
+    r.snapshot = c.snapshot;
+    r.origin = c.origin;
+    r.commit_seq = c.commit_seq;
+    r.snapshot_stamp = c.snapshot_stamp;
+    r.session_floor = c.session_floor;
+    r.reads = c.reads;
+    r.writes = c.writes;
+    r.reads_observed =
+        FlatMap<ItemId, Value>(c.observed.begin(), c.observed.end());
+    r.writes_final = FlatMap<ItemId, Value>(c.finals.begin(), c.finals.end());
+    recorder->AddRecord(std::move(r));
+  }
+}
+
+constexpr int kTrials = 400;
+
 TEST(CheckerDifferentialTest, MatchesReferenceOnRandomHistories) {
   Rng rng(1999);
   int cyclic = 0;
-  constexpr int kTrials = 400;
   for (int trial = 0; trial < kTrials; ++trial) {
     const std::vector<ScriptedCommit> script = RandomHistory(&rng);
     HistoryRecorder recorder;
-    for (const ScriptedCommit& c : script) {
-      HistoryRecorder::Record r;
-      r.site = c.site;
-      r.snapshot = c.snapshot;
-      r.origin = c.origin;
-      r.commit_seq = c.commit_seq;
-      r.reads = c.reads;
-      r.writes = c.writes;
-      recorder.AddRecord(std::move(r));
-    }
+    AddAll(script, &recorder);
     const SerializabilityVerdict want = ReferenceCheck(script);
     const SerializabilityVerdict got = CheckSerializability(recorder);
     ASSERT_EQ(got.serializable, want.serializable) << "trial " << trial;
@@ -501,6 +829,55 @@ TEST(CheckerDifferentialTest, MatchesReferenceOnRandomHistories) {
   // Both verdicts are well represented.
   EXPECT_GE(cyclic, kTrials / 5);
   EXPECT_LE(cyclic, kTrials * 4 / 5);
+}
+
+TEST(CheckerDifferentialTest, ReadConsistencyMatchesReference) {
+  Rng rng(1999);
+  int inconsistent = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::vector<ScriptedCommit> script = RandomHistory(&rng);
+    HistoryRecorder recorder;
+    AddAll(script, &recorder);
+    const ReadConsistencyVerdict want = ReferenceReadCheck(script);
+    const ReadConsistencyVerdict got = CheckReadConsistency(recorder);
+    ASSERT_EQ(got.consistent, want.consistent) << "trial " << trial;
+    ASSERT_EQ(got.reads_checked, want.reads_checked) << "trial " << trial;
+    ASSERT_EQ(got.violation, want.violation) << "trial " << trial;
+    if (!want.consistent) ++inconsistent;
+  }
+  EXPECT_GE(inconsistent, kTrials / 5);
+  EXPECT_LE(inconsistent, kTrials * 4 / 5);
+}
+
+TEST(CheckerDifferentialTest, SnapshotConsistencyMatchesReference) {
+  Rng rng(1999);
+  int consistent = 0, inconsistent = 0, floor_violations = 0;
+  for (int trial = 0; trial < kTrials; ++trial) {
+    const std::vector<ScriptedCommit> script = RandomHistory(&rng);
+    HistoryRecorder recorder;
+    AddAll(script, &recorder);
+    const SnapshotConsistencyVerdict want = ReferenceSnapshotCheck(script);
+    const SnapshotConsistencyVerdict got = CheckSnapshotConsistency(recorder);
+    ASSERT_EQ(got.consistent, want.consistent) << "trial " << trial;
+    ASSERT_EQ(got.snapshots_checked, want.snapshots_checked)
+        << "trial " << trial;
+    ASSERT_EQ(got.reads_checked, want.reads_checked) << "trial " << trial;
+    ASSERT_EQ(got.violation, want.violation) << "trial " << trial;
+    if (want.snapshots_checked == 0) continue;
+    if (want.consistent) {
+      ++consistent;
+    } else {
+      ++inconsistent;
+      if (want.violation.find("session floor") != std::string::npos) {
+        ++floor_violations;
+      }
+    }
+  }
+  // Both verdicts, and both kinds of violation, are well represented.
+  EXPECT_GE(consistent, kTrials / 5);
+  EXPECT_GE(inconsistent, kTrials / 10);
+  EXPECT_GE(floor_violations, kTrials / 40);
+  EXPECT_GE(inconsistent - floor_violations, kTrials / 40);
 }
 
 }  // namespace

@@ -552,8 +552,16 @@ struct ChaosCase {
   int num_items;
 };
 
-// Runs one cell under two seeds and checks every invariant.
-void ExpectChaosCellHolds(const ChaosCase& c) {
+// gtest lists a parameter it has no printer for as its raw bytes, and
+// a ChaosCase starts with a pointer that ASLR moves on every run; this
+// printer keeps each cell's listed name stable.
+void PrintTo(const ChaosCase& c, std::ostream* os) { *os << c.name; }
+
+class NamedChaosGrid : public ::testing::TestWithParam<ChaosCase> {};
+
+TEST_P(NamedChaosGrid, InvariantsSurviveHostileSettings) {
+  // Runs the cell under two seeds and checks every invariant.
+  const ChaosCase& c = GetParam();
   for (uint64_t seed : {11u, 12u}) {
     SystemConfig config;
     config.protocol = c.protocol;
@@ -590,60 +598,33 @@ void ExpectChaosCellHolds(const ChaosCase& c) {
   }
 }
 
-class ChaosGrid : public ::testing::TestWithParam<ChaosCase> {};
-
-TEST_P(ChaosGrid, InvariantsSurviveHostileSettings) {
-  ExpectChaosCellHolds(GetParam());
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Hostile, ChaosGrid,
-    ::testing::Values(
-        ChaosCase{"BackEdgeJitterHot", Protocol::kBackEdge, 0.5, 0.6,
-                  0.5, 0.2, 4.0, 0.15, false, false, false, 12},
-        ChaosCase{"BackEdgeSlowNet", Protocol::kBackEdge, 0.3, 0.4, 0.7,
-                  0.5, 0.0, 20.0, false, false, false, 60},
-        ChaosCase{"BackEdgeDetectionRetry", Protocol::kBackEdge, 0.4,
-                  0.5, 0.6, 0.3, 1.0, 1.0, true, false, true, 30},
-        ChaosCase{"BackEdgeFifoWriteHeavy", Protocol::kBackEdge, 0.6,
-                  0.5, 0.2, 0.0, 0.0, 0.15, false, true, false, 24},
-        ChaosCase{"DagWtJitterHot", Protocol::kDagWt, 0.0, 0.8, 0.5,
-                  0.2, 4.0, 0.15, false, false, false, 12},
-        ChaosCase{"DagWtDetection", Protocol::kDagWt, 0.0, 0.5, 0.6,
-                  0.3, 2.0, 2.0, true, false, true, 30},
-        ChaosCase{"PslWriteHeavyJitter", Protocol::kPsl, 0.5, 0.6, 0.3,
-                  0.0, 3.0, 0.5, false, false, false, 24},
-        ChaosCase{"PslDetectionRetry", Protocol::kPsl, 0.2, 0.5, 0.7,
-                  0.5, 0.0, 1.0, true, false, true, 30}),
-    [](const auto& info) { return std::string(info.param.name); });
-
-// gtest lists a parameter it has no printer for as its raw bytes. A
-// ChaosCase starts with a pointer, so past the first byte the listed
-// names of the cells above carry an address that ASLR moves on every
-// run. A NamedChaosCase prints as its name, which keeps the listed name
-// of a cell stable. Moving a cell here renames its ctest entry, so the
-// BackEdge, DAG(WT) and PSL cells stay above; new cells belong here.
-struct NamedChaosCase : ChaosCase {};
-
-void PrintTo(const NamedChaosCase& c, std::ostream* os) { *os << c.name; }
-
-class NamedChaosGrid : public ::testing::TestWithParam<NamedChaosCase> {};
-
-TEST_P(NamedChaosGrid, InvariantsSurviveHostileSettings) {
-  ExpectChaosCellHolds(GetParam());
-}
-
 INSTANTIATE_TEST_SUITE_P(
     Hostile, NamedChaosGrid,
     ::testing::Values(
-        NamedChaosCase{{"DagTJitterHot", Protocol::kDagT, 0.0, 0.8, 0.5,
-                        0.2, 4.0, 0.15, false, false, false, 12}},
-        NamedChaosCase{{"DagTSlowNet", Protocol::kDagT, 0.0, 0.4, 0.7, 0.5,
-                        0.0, 10.0, false, false, false, 60}},
-        NamedChaosCase{{"EagerJitterHot", Protocol::kEager, 0.3, 0.6, 0.5,
-                        0.2, 4.0, 0.15, false, false, false, 12}},
-        NamedChaosCase{{"EagerFifo", Protocol::kEager, 0.2, 0.4, 0.7, 0.5,
-                        0.0, 0.15, false, true, false, 60}}),
+        ChaosCase{"BackEdgeJitterHot", Protocol::kBackEdge, 0.5, 0.6, 0.5,
+                  0.2, 4.0, 0.15, false, false, false, 12},
+        ChaosCase{"BackEdgeSlowNet", Protocol::kBackEdge, 0.3, 0.4, 0.7,
+                  0.5, 0.0, 20.0, false, false, false, 60},
+        ChaosCase{"BackEdgeDetectionRetry", Protocol::kBackEdge, 0.4, 0.5,
+                  0.6, 0.3, 1.0, 1.0, true, false, true, 30},
+        ChaosCase{"BackEdgeFifoWriteHeavy", Protocol::kBackEdge, 0.6, 0.5,
+                  0.2, 0.0, 0.0, 0.15, false, true, false, 24},
+        ChaosCase{"DagWtJitterHot", Protocol::kDagWt, 0.0, 0.8, 0.5, 0.2,
+                  4.0, 0.15, false, false, false, 12},
+        ChaosCase{"DagWtDetection", Protocol::kDagWt, 0.0, 0.5, 0.6, 0.3,
+                  2.0, 2.0, true, false, true, 30},
+        ChaosCase{"DagTJitterHot", Protocol::kDagT, 0.0, 0.8, 0.5, 0.2, 4.0,
+                  0.15, false, false, false, 12},
+        ChaosCase{"DagTSlowNet", Protocol::kDagT, 0.0, 0.4, 0.7, 0.5, 0.0,
+                  10.0, false, false, false, 60},
+        ChaosCase{"PslWriteHeavyJitter", Protocol::kPsl, 0.5, 0.6, 0.3, 0.0,
+                  3.0, 0.5, false, false, false, 24},
+        ChaosCase{"PslDetectionRetry", Protocol::kPsl, 0.2, 0.5, 0.7, 0.5,
+                  0.0, 1.0, true, false, true, 30},
+        ChaosCase{"EagerJitterHot", Protocol::kEager, 0.3, 0.6, 0.5, 0.2,
+                  4.0, 0.15, false, false, false, 12},
+        ChaosCase{"EagerFifo", Protocol::kEager, 0.2, 0.4, 0.7, 0.5, 0.0,
+                  0.15, false, true, false, 60}),
     [](const auto& info) { return std::string(info.param.name); });
 
 class StallRobustness : public ::testing::TestWithParam<Protocol> {};
