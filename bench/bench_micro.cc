@@ -13,6 +13,7 @@
 #include "common/rng.h"
 #include "core/history.h"
 #include "core/messages.h"
+#include "core/streaming_oracle.h"
 #include "core/timestamp.h"
 #include "core/wire.h"
 #include "graph/copy_graph.h"
@@ -115,12 +116,10 @@ void BM_GreedyFeedbackArcSet(benchmark::State& state) {
 }
 BENCHMARK(BM_GreedyFeedbackArcSet)->Arg(9)->Arg(15);
 
-void BM_SerializabilityCheck(benchmark::State& state) {
-  // Synthetic history: `n` transactions touching overlapping items at 9
-  // sites.
-  core::HistoryRecorder recorder;
+/// Synthetic history: `n` transactions touching overlapping items at 9
+/// sites.
+void SyntheticHistory(int64_t n, core::HistoryRecorder* recorder) {
   Rng rng(13);
-  int64_t n = state.range(0);
   std::map<SiteId, int64_t> seq;
   for (int64_t i = 0; i < n; ++i) {
     core::HistoryRecorder::Record r;
@@ -136,14 +135,38 @@ void BM_SerializabilityCheck(benchmark::State& state) {
     }
     r.reads = reads;
     r.writes = writes;
-    recorder.AddRecord(std::move(r));
+    recorder->AddRecord(std::move(r));
   }
+}
+
+void BM_SerializabilityCheck(benchmark::State& state) {
+  core::HistoryRecorder recorder;
+  SyntheticHistory(state.range(0), &recorder);
   for (auto _ : state) {
     benchmark::DoNotOptimize(core::CheckSerializability(recorder));
   }
-  state.SetItemsProcessed(state.iterations() * n);
+  state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SerializabilityCheck)->Arg(1000)->Arg(10000);
+
+void BM_StreamingOracle(benchmark::State& state) {
+  // The same history fed record by record, as commits would arrive.
+  core::HistoryRecorder recorder;
+  SyntheticHistory(state.range(0), &recorder);
+  for (auto _ : state) {
+    core::StreamingOracle oracle;
+    for (const core::HistoryRecorder::Record& r : recorder.records()) {
+      oracle.AddRecord(core::HistoryRecorder::Record(r));
+    }
+    benchmark::DoNotOptimize(oracle.Serializability());
+  }
+  const double records =
+      static_cast<double>(state.iterations() * state.range(0));
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+  state.counters["ns_per_record"] = benchmark::Counter(
+      records / 1e9, benchmark::Counter::kIsRate | benchmark::Counter::kInvert);
+}
+BENCHMARK(BM_StreamingOracle)->Arg(1000)->Arg(10000);
 
 void BM_TreeBuild(benchmark::State& state) {
   Rng rng(17);

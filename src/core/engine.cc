@@ -81,7 +81,7 @@ runtime::Co<Status> ReplicationEngine::ExecuteSnapshotRead(
     }
   }
   storage::TxnPtr txn = db.Begin(id, storage::TxnKind::kPrimary);
-  storage::SnapshotHandle handle = db.BeginSnapshot();
+  storage::SnapshotHandle handle = db.BeginSnapshot(txn.get());
   if (session != nullptr && session->floor_site == ctx_.site) {
     LAZYREP_CHECK(handle.stamp >= session->floor_stamp)
         << "watermark below the session's own commit";

@@ -9,6 +9,7 @@
 #include "core/messages.h"
 #include "core/metrics.h"
 #include "core/routing.h"
+#include "core/streaming_oracle.h"
 #include "fault/fault_injector.h"
 #include "net/network.h"
 #include "net/transport.h"
@@ -62,6 +63,8 @@ class ReplicationEngine {
     ProtocolTransport* net = nullptr;
     std::shared_ptr<const Routing> routing;
     MetricsCollector* metrics = nullptr;
+    /// The streaming serializability oracle; nullptr when not checking.
+    StreamingOracle* oracle = nullptr;
     /// Labelled metrics registry; nullptr when observability is off.
     obs::MetricsRegistry* obs = nullptr;
     const SystemConfig* config = nullptr;
@@ -158,6 +161,15 @@ class ReplicationEngine {
   runtime::Co<bool> ApplySecondaryWrites(storage::TxnPtr txn,
                                      const std::vector<WriteRecord>& writes,
                                      bool* applied_any);
+
+  /// From the origin's commit hook: registers `id`'s propagation to
+  /// `targets` replica sites with the metrics, and tells the oracle to
+  /// expect the origin's record plus one from each target (the close
+  /// rule, docs/CHECKING.md).
+  void RegisterPropagation(const GlobalTxnId& id, int targets) {
+    ctx_.metrics->RegisterPropagation(id, targets, ctx_.rt->Now());
+    if (ctx_.oracle != nullptr) ctx_.oracle->ExpectRecords(id, 1 + targets);
+  }
 
   /// Victim selection used by AcquireXAsSecondary after a timeout.
   void AbortOneBlocker(storage::Transaction* waiter, ItemId item);

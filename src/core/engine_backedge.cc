@@ -53,8 +53,7 @@ runtime::Co<Status> BackEdgeEngine::ExecutePrimary(
       update.origin_site = ctx_.site;
       update.origin_commit_time = ctx_.rt->Now();
       if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-      ctx_.metrics->RegisterPropagation(
-          id, ctx_.routing->CountReplicaTargets(writes), ctx_.rt->Now());
+      RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
       ForwardToRelevantChildren(update);
     });
     co_return st;
@@ -336,8 +335,7 @@ runtime::Co<void> BackEdgeEngine::CommitPendingPrimary(SecondaryUpdate update) {
     // do not see this stamp — their applied tracker advances on later
     // lazy updates from this origin; the floor wait is conservative.
     if (ctx_.db->mvcc_enabled()) normal.origin_commit_seq = seq + 1;
-    ctx_.metrics->RegisterPropagation(
-        id, ctx_.routing->CountReplicaTargets(writes), ctx_.rt->Now());
+    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
     // §4.1 step 4: descendants are updated lazily per DAG(WT).
     ForwardToRelevantChildren(normal);
   });

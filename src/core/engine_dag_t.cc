@@ -58,8 +58,7 @@ runtime::Co<Status> DagTEngine::ExecutePrimary(GlobalTxnId id,
     update.origin_site = ctx_.site;
     update.origin_commit_time = ctx_.rt->Now();
     if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-    ctx_.metrics->RegisterPropagation(
-        id, ctx_.routing->CountReplicaTargets(writes), ctx_.rt->Now());
+    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
     for (SiteId child :
          ctx_.routing->RelevantCopyChildren(ctx_.site, writes)) {
       PostToChild(child, update);

@@ -84,8 +84,7 @@ runtime::Co<Status> DagWtEngine::ExecutePrimary(GlobalTxnId id,
     // MVCC levels only: carry the origin's commit stamp so downstream
     // appliers can advance their per-origin applied tracker (RYW).
     if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-    ctx_.metrics->RegisterPropagation(
-        id, ctx_.routing->CountReplicaTargets(writes), ctx_.rt->Now());
+    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
     ForwardToRelevantChildren(update);
   });
   co_return st;

@@ -44,8 +44,7 @@ runtime::Co<Status> EagerEngine::ExecutePrimary(GlobalTxnId id,
   decision.commit = all_yes && !txn->abort_requested();
   if (decision.commit) {
     st = co_await ctx_.db->Commit(txn, [&](int64_t) {
-      ctx_.metrics->RegisterPropagation(
-          id, static_cast<int>(participants.size()), ctx_.rt->Now());
+      RegisterPropagation(id, static_cast<int>(participants.size()));
     });
     // A victim-selection race during the commit CPU charge turns the
     // commit into a rollback; flip the decision accordingly.

@@ -34,8 +34,7 @@ runtime::Co<Status> NaiveLazyEngine::ExecutePrimary(
     update.origin_site = ctx_.site;
     update.origin_commit_time = ctx_.rt->Now();
     if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-    ctx_.metrics->RegisterPropagation(
-        id, ctx_.routing->CountReplicaTargets(writes), ctx_.rt->Now());
+    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
     // Indiscriminate: straight to every replica holder.
     for (SiteId child :
          ctx_.routing->RelevantCopyChildren(ctx_.site, writes)) {
@@ -88,6 +87,10 @@ runtime::Co<void> NaiveLazyEngine::Applier() {
     }
     if (applied_any || lww) {
       ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
+    }
+    if (!applied_any && ctx_.oracle != nullptr) {
+      // Every write lost to a later version: the record came out empty.
+      ctx_.oracle->WithdrawRecord(update.origin);
     }
     applying_ = false;
   }

@@ -27,7 +27,14 @@ runtime::Co<Status> PslEngine::ExecutePrimary(GlobalTxnId id,
   }
 
   if (st.ok()) {
-    st = co_await ctx_.db->Commit(txn);
+    st = co_await ctx_.db->Commit(txn, [&](int64_t) {
+      // Close rule: the origin's record, unless every read was remote,
+      // and one proxy record from each contacted primary site.
+      if (ctx_.oracle == nullptr) return;
+      const bool local = !txn->read_set().empty() || !txn->write_set().empty();
+      ctx_.oracle->ExpectRecords(
+          id, (local ? 1 : 0) + static_cast<int>(contacted.size()));
+    });
   } else {
     co_await ctx_.db->Abort(txn);
   }

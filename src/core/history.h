@@ -19,6 +19,11 @@ namespace lazyrep::core {
 /// the site-local commit order. Because each site runs strict 2PL, the
 /// local commit order is a serialization order of the site's schedule —
 /// exactly the premise the paper's correctness arguments build on.
+///
+/// A `System` keeps records only on sim runs, where the quiescence
+/// checkers below give the golden verdicts, and on traced runs; an
+/// untraced threads run is checked by the `StreamingOracle` alone
+/// (docs/CHECKING.md).
 class HistoryRecorder : public storage::HistoryObserver {
  public:
   /// One committed (sub)transaction. Access sets are sorted, duplicate-

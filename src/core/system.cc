@@ -28,18 +28,55 @@ int ComputeNumMachines(const workload::Params& params) {
          params.sites_per_machine;
 }
 
+/// CHECKs that the streaming oracle reached the quiescence checkers'
+/// verdicts, with the same counts. `snaps` is null below snapshot level.
+void CheckOracleAgrees(StreamingOracle& oracle,
+                       const SerializabilityVerdict& verdict,
+                       const ReadConsistencyVerdict& reads,
+                       const SnapshotConsistencyVerdict* snaps) {
+  const SerializabilityVerdict streamed = oracle.Serializability();
+  LAZYREP_CHECK(streamed.serializable == verdict.serializable &&
+                streamed.nodes == verdict.nodes &&
+                streamed.edges == verdict.edges)
+      << "streaming oracle: " << streamed.ToString() << " ("
+      << streamed.nodes << " txns, " << streamed.edges
+      << " edges); quiescence checker: " << verdict.ToString();
+  const ReadConsistencyVerdict streamed_reads = oracle.ReadConsistency();
+  LAZYREP_CHECK(streamed_reads.consistent == reads.consistent &&
+                streamed_reads.reads_checked == reads.reads_checked)
+      << "streaming oracle: reads consistent=" << streamed_reads.consistent
+      << " over " << streamed_reads.reads_checked
+      << "; quiescence checker: consistent=" << reads.consistent << " over "
+      << reads.reads_checked;
+  if (snaps == nullptr) return;
+  const SnapshotConsistencyVerdict streamed_snaps =
+      oracle.SnapshotConsistency();
+  LAZYREP_CHECK(streamed_snaps.consistent == snaps->consistent &&
+                streamed_snaps.snapshots_checked == snaps->snapshots_checked &&
+                streamed_snaps.reads_checked == snaps->reads_checked)
+      << "streaming oracle: snapshots consistent="
+      << streamed_snaps.consistent << " over "
+      << streamed_snaps.snapshots_checked << " ("
+      << streamed_snaps.reads_checked
+      << " reads); quiescence checker: consistent=" << snaps->consistent
+      << " over " << snaps->snapshots_checked << " (" << snaps->reads_checked
+      << " reads)";
+}
+
 }  // namespace
 
-/// Forwards commit/abort notifications to the history recorder (when
-/// checking) and the trace log (when tracing).
+/// Forwards commit/abort notifications to the streaming oracle (when
+/// checking), the history recorder (when it is kept) and the trace log
+/// (when tracing).
 class System::ObserverMux : public storage::HistoryObserver {
  public:
-  ObserverMux(HistoryRecorder* recorder, TraceLog* trace,
-              runtime::Runtime* rt)
-      : recorder_(recorder), trace_(trace), rt_(rt) {}
+  ObserverMux(StreamingOracle* oracle, HistoryRecorder* recorder,
+              TraceLog* trace, runtime::Runtime* rt)
+      : oracle_(oracle), recorder_(recorder), trace_(trace), rt_(rt) {}
 
   void OnCommit(SiteId site, const storage::Transaction& txn,
                 int64_t commit_seq) override {
+    if (oracle_ != nullptr) oracle_->OnCommit(site, txn, commit_seq);
     if (recorder_ != nullptr) recorder_->OnCommit(site, txn, commit_seq);
     if (trace_ != nullptr) {
       TraceEvent event;
@@ -51,14 +88,23 @@ class System::ObserverMux : public storage::HistoryObserver {
     }
   }
 
+  void OnSnapshotBegin(SiteId site, const storage::Transaction& txn,
+                       int64_t stamp) override {
+    if (oracle_ != nullptr) oracle_->OnSnapshotBegin(site, txn, stamp);
+  }
+
   void OnSnapshotRead(SiteId site, const storage::Transaction& txn,
                       int64_t stamp, int64_t session_floor) override {
+    if (oracle_ != nullptr) {
+      oracle_->OnSnapshotRead(site, txn, stamp, session_floor);
+    }
     if (recorder_ != nullptr) {
       recorder_->OnSnapshotRead(site, txn, stamp, session_floor);
     }
   }
 
   void OnAbort(SiteId site, const storage::Transaction& txn) override {
+    if (oracle_ != nullptr) oracle_->OnAbort(site, txn);
     if (recorder_ != nullptr) recorder_->OnAbort(site, txn);
     if (trace_ != nullptr) {
       TraceEvent event;
@@ -72,6 +118,7 @@ class System::ObserverMux : public storage::HistoryObserver {
   }
 
  private:
+  StreamingOracle* oracle_;
   HistoryRecorder* recorder_;
   TraceLog* trace_;
   runtime::Runtime* rt_;
@@ -353,8 +400,13 @@ Status System::Build() {
   }
 
   // Sites: database + engine; initial value of every copy is 0.
+  if (config_.check_serializability) {
+    oracle_ = std::make_unique<StreamingOracle>(
+        [rt = runtime_.get()] { return rt->Now(); },
+        /*pumped=*/runtime_->concurrent());
+  }
   observer_mux_ = std::make_unique<ObserverMux>(
-      config_.check_serializability ? &history_ : nullptr, trace_.get(),
+      oracle_.get(), KeepsHistory() ? &history_ : nullptr, trace_.get(),
       runtime_.get());
   storage::HistoryObserver* observer =
       (config_.check_serializability || config_.enable_trace)
@@ -420,6 +472,7 @@ Status System::Build() {
                   : network_.get();
     ctx.routing = routing_;
     ctx.metrics = &metrics_;
+    ctx.oracle = oracle_.get();
     ctx.obs = &obs_;
     ctx.config = &config_;
     ctx.faults = injector_.get();
@@ -660,7 +713,17 @@ void System::RunThreads() {
   auto past_deadline = [&] { return cap > 0 && runtime_->Now() >= cap; };
   const bool dbg = std::getenv("LAZYREP_CHAOS_DEBUG") != nullptr;
   if (dbg) std::fprintf(stderr, "[chaos] waiting for workers\n");
-  if (!workers_done_.WaitBlocking(cap)) {
+  // While it waits, this thread replays the commits for the streaming
+  // oracle, off the executors' paths.
+  auto pump = [this] {
+    if (oracle_ != nullptr) oracle_->Pump();
+  };
+  bool workers_done = false;
+  while (!(workers_done = workers_done_.WaitBlocking(kMillisecond))) {
+    pump();
+    if (past_deadline()) break;
+  }
+  if (!workers_done) {
     timed_out_ = true;
   } else {
     workload_elapsed_ = runtime_->Now();
@@ -680,6 +743,7 @@ void System::RunThreads() {
         timed_out_ = true;
         break;
       }
+      pump();
       std::this_thread::sleep_for(poll);
     }
     if (!timed_out_) {
@@ -693,6 +757,7 @@ void System::RunThreads() {
           timed_out_ = true;
           break;
         }
+        pump();
         std::this_thread::sleep_for(poll);
       }
     }
@@ -805,15 +870,31 @@ RunMetrics System::CollectMetrics() const {
   }
   if (config_.check_serializability) {
     out.checked = true;
-    SerializabilityVerdict verdict = CheckHistory();
+    if (!timed_out_) oracle_->CheckDrained();
+    const bool snapshot_level =
+        config_.consistency != storage::ConsistencyLevel::kSerializable;
+    SerializabilityVerdict verdict;
+    ReadConsistencyVerdict reads;
+    SnapshotConsistencyVerdict snaps;
+    if (KeepsHistory()) {
+      // The quiescence verdicts stay the reported ones (their strings are
+      // the golden output); the streaming oracle must agree with them.
+      verdict = CheckSerializability(history_);
+      reads = CheckReadConsistency(history_);
+      if (snapshot_level) snaps = CheckSnapshotConsistency(history_);
+      CheckOracleAgrees(*oracle_, verdict, reads,
+                        snapshot_level ? &snaps : nullptr);
+    } else {
+      verdict = oracle_->Serializability();
+      reads = oracle_->ReadConsistency();
+      snaps = oracle_->SnapshotConsistency();
+    }
     out.serializable = verdict.serializable;
     out.verdict = verdict.ToString();
-    ReadConsistencyVerdict reads = CheckReadConsistency(history_);
     out.reads_consistent = reads.consistent;
     out.reads_checked = reads.reads_checked;
     if (!reads.consistent) out.verdict += "; " + reads.violation;
-    if (config_.consistency != storage::ConsistencyLevel::kSerializable) {
-      SnapshotConsistencyVerdict snaps = CheckSnapshotConsistency(history_);
+    if (snapshot_level) {
       out.snapshots_consistent = snaps.consistent;
       out.snapshots_checked = snaps.snapshots_checked;
       out.snapshot_reads_checked = snaps.reads_checked;

@@ -9,6 +9,7 @@
 #include "core/engine.h"
 #include "core/history.h"
 #include "core/metrics.h"
+#include "core/streaming_oracle.h"
 #include "core/trace.h"
 #include "fault/fault_injector.h"
 #include "fault/reliable_transport.h"
@@ -110,7 +111,18 @@ class System {
   storage::Database& database(SiteId site) { return *databases_[site]; }
   ReplicationEngine& engine(SiteId site) { return *engines_[site]; }
   const Routing& routing() const { return *routing_; }
+  /// The full history, kept only where it is read: on sim runs, whose
+  /// quiescence verdicts are the golden output, and on traced runs.
+  /// Empty on untraced threads runs, which the streaming oracle checks.
   const HistoryRecorder& history() const { return history_; }
+  /// The streaming oracle; null unless `check_serializability` is set.
+  StreamingOracle* oracle() { return oracle_.get(); }
+  /// True when `history()` records the run.
+  bool KeepsHistory() const {
+    return config_.check_serializability &&
+           (config_.runtime == runtime::RuntimeKind::kSim ||
+            config_.enable_trace);
+  }
   /// Present when `SystemConfig::enable_trace` was set.
   const TraceLog* trace() const { return trace_.get(); }
   MetricsCollector& metrics() { return metrics_; }
@@ -131,8 +143,12 @@ class System {
   }
   const SystemConfig& config() const { return config_; }
 
-  /// Runs the serializability checker over the recorded history.
+  /// The serializability verdict so far: the quiescence checker's over
+  /// `history()` where it is kept, else the streaming oracle's.
   SerializabilityVerdict CheckHistory() const {
+    if (oracle_ != nullptr && !KeepsHistory()) {
+      return oracle_->Serializability();
+    }
     return CheckSerializability(history_);
   }
 
@@ -186,8 +202,9 @@ class System {
   /// everything that holds metric handles into it.
   obs::MetricsRegistry obs_;
   HistoryRecorder history_;
+  std::unique_ptr<StreamingOracle> oracle_;
   std::unique_ptr<TraceLog> trace_;
-  /// Fans OnCommit/OnAbort out to the recorder and the trace.
+  /// Fans OnCommit/OnAbort out to the oracle, the recorder and the trace.
   class ObserverMux;
   std::unique_ptr<ObserverMux> observer_mux_;
   std::vector<std::unique_ptr<runtime::Resource>> machine_cpus_;

@@ -228,6 +228,17 @@ void Database::PublishCommittedVersions(const Transaction& txn,
   snapshots_.Publish(stamp, rt_->Now());
 }
 
+SnapshotHandle Database::BeginSnapshot(const Transaction* txn) {
+  if (observer_ == nullptr || txn == nullptr) return snapshots_.Acquire();
+  // Commits publish under `mu_` and notify after it: acquiring and
+  // announcing under it puts every commit this snapshot cannot see after
+  // the announcement.
+  std::lock_guard<std::mutex> lock(mu_);
+  SnapshotHandle handle = snapshots_.Acquire();
+  observer_->OnSnapshotBegin(options_.site, *txn, handle.stamp);
+  return handle;
+}
+
 Result<Value> Database::SnapshotRead(const SnapshotHandle& handle,
                                      Transaction* txn, ItemId item) {
   Result<Value> v = store_.ReadAtStamp(item, handle.stamp);

@@ -50,6 +50,16 @@ class HistoryObserver {
                         int64_t commit_seq) = 0;
   virtual void OnAbort(SiteId site, const Transaction& txn) = 0;
 
+  /// A snapshot read acquired its handle at `stamp` (docs/MVCC.md). Sent
+  /// under the lock that orders publication, so every commit the snapshot
+  /// cannot see is announced after it.
+  virtual void OnSnapshotBegin(SiteId site, const Transaction& txn,
+                               int64_t stamp) {
+    (void)site;
+    (void)txn;
+    (void)stamp;
+  }
+
   /// A lock-free snapshot read finished (docs/MVCC.md): it observed the
   /// prefix of the site's commit order up to (excluding) `stamp` in the
   /// stamp space commit_seq + 1. `session_floor` is the RYW floor the
@@ -164,8 +174,9 @@ class Database {
 
   /// Registers a snapshot read at the current watermark. Never touches
   /// the lock manager; never blocks (beyond a bounded GC-handshake
-  /// retry). Pair with `EndSnapshot`.
-  SnapshotHandle BeginSnapshot() { return snapshots_.Acquire(); }
+  /// retry). Pair with `EndSnapshot`. With an observer, `txn`'s stamp is
+  /// announced to it (`OnSnapshotBegin`).
+  SnapshotHandle BeginSnapshot(const Transaction* txn = nullptr);
   void EndSnapshot(SnapshotHandle* handle) { snapshots_.Release(handle); }
 
   /// Lock-free read at the handle's stamp; records the observation in

@@ -1,7 +1,8 @@
-// Heap footprint of the history recorder and of CheckSerializability
-// (src/core/history.*), measured by replacing the global operator new
-// and delete with counting versions — which is why this is a binary of
-// its own.
+// Heap footprint of the history recorder, of CheckSerializability
+// (src/core/history.*) and of a threads run checked by the streaming
+// oracle (src/core/streaming_oracle.*), measured by replacing the global
+// operator new and delete with counting versions — which is why this is
+// a binary of its own.
 
 #include <atomic>
 #include <cstdlib>
@@ -11,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include "core/history.h"
+#include "core/system.h"
 
 namespace {
 
@@ -145,6 +147,70 @@ TEST(HistoryFootprintTest, CheckSerializabilityPeakIsAboutSixBytesPerEdge) {
       << peak << " bytes at peak: "
       << static_cast<double>(peak) / static_cast<double>(verdict.edges)
       << " per edge";
+}
+
+/// What a threads DAG(WT) run of `txns_per_thread` leaves behind.
+struct RunFootprint {
+  int64_t committed = 0;
+  size_t live_bytes = 0;  // Heap still live when Run returns.
+  size_t records = 0;     // Held by the history.
+  StreamingOracle::Stats oracle;
+};
+
+RunFootprint RunDagWt(int txns_per_thread) {
+  SystemConfig config;
+  config.protocol = Protocol::kDagWt;
+  config.runtime = runtime::RuntimeKind::kThreads;
+  config.seed = 7;
+  config.workload.num_sites = 6;
+  config.workload.sites_per_machine = 3;
+  config.workload.num_items = 60;
+  config.workload.threads_per_site = 2;
+  config.workload.txns_per_thread = txns_per_thread;
+  config.workload.replication_prob = 0.3;
+  config.workload.backedge_prob = 0;
+  config.max_sim_time = Seconds(120);
+  const size_t live_before = g_live_bytes.load();
+  RunFootprint out;
+  {
+    auto system = System::Create(std::move(config));
+    LAZYREP_CHECK(system.ok()) << system.status().ToString();
+    const RunMetrics metrics = (*system)->Run();
+    LAZYREP_CHECK(!metrics.timed_out && metrics.serializable)
+        << metrics.verdict;
+    out.committed = metrics.committed;
+    out.live_bytes = g_live_bytes.load() - live_before;
+    out.records = (*system)->history().records().size();
+    out.oracle = (*system)->oracle()->stats();
+  }
+  return out;
+}
+
+TEST(HistoryFootprintTest, ThreadsRunStateDoesNotGrowWithLength) {
+  // An untraced threads run keeps no history: the oracle holds only the
+  // transactions still in flight, so running four times as long must not
+  // grow what it holds, and the run leaves behind only its per-commit
+  // metric samples (tens of bytes per transaction, where the history
+  // alone took hundreds).
+  const RunFootprint one = RunDagWt(60);
+  const RunFootprint four = RunDagWt(240);
+  ASSERT_GT(four.committed, 3 * one.committed);
+  EXPECT_EQ(one.records, 0u);
+  EXPECT_EQ(four.records, 0u);
+  EXPECT_GT(four.oracle.records, 3 * one.oracle.records);
+  EXPECT_EQ(four.oracle.live_txns, 0u);
+  EXPECT_LE(four.oracle.peak_live_txns, 2 * one.oracle.peak_live_txns + 32)
+      << one.oracle.peak_live_txns << " live at 1x";
+  EXPECT_LE(four.oracle.heap_bytes, one.oracle.heap_bytes * 3 / 2 + 16384)
+      << one.oracle.heap_bytes << " bytes at 1x";
+  const double extra_txns =
+      static_cast<double>(four.committed - one.committed);
+  const double bytes_per_txn =
+      (static_cast<double>(four.live_bytes) -
+       static_cast<double>(one.live_bytes)) / extra_txns;
+  EXPECT_LT(bytes_per_txn, 64.0)
+      << one.live_bytes << " bytes live after 1x, " << four.live_bytes
+      << " after 4x";
 }
 
 }  // namespace
