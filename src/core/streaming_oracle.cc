@@ -259,33 +259,29 @@ void StreamingOracle::Release(Site& site) {
 }
 
 void StreamingOracle::Replay(Site& site, const Record& r) {
-  const SiteId site_id = r.site;
-  const GlobalTxnId& origin = r.origin;
-  const CompactArray<ItemId>& reads = r.reads;
-  const CompactArray<ItemId>& writes = r.writes;
-  if (!reads.empty() || !writes.empty()) {
-    const int64_t found = FindSlot(origin);
+  if (!r.reads.empty() || !r.writes.empty()) {
+    const int64_t found = FindSlot(r.origin);
     uint32_t slot;
     if (found >= 0) {
       slot = static_cast<uint32_t>(found);
     } else {
       // Only an unannounced transaction's origin record may introduce it;
       // anything else belongs to one already closed and deleted.
-      LAZYREP_CHECK_EQ(site_id, origin.origin_site)
-          << "site " << site_id << " recorded closed transaction "
-          << TxnName(origin);
-      slot = NewNode(origin, 1);
+      LAZYREP_CHECK_EQ(r.site, r.origin.origin_site)
+          << "site " << r.site << " recorded closed transaction "
+          << TxnName(r.origin);
+      slot = NewNode(r.origin, 1);
     }
     LAZYREP_CHECK(!nodes_[slot].closed)
-        << "site " << site_id << " recorded closed transaction "
-        << TxnName(origin);
+        << "site " << r.site << " recorded closed transaction "
+        << TxnName(r.origin);
     const Ref me = RefOf(slot);
     // The quiescence checker's per-item step: ww and rw edges into each
     // writer, wr edges into each reader. Collected first, then added once
     // each.
     std::vector<Ref>& from = scratch_;
     from.clear();
-    for (ItemId i : writes) {
+    for (ItemId i : r.writes) {
       ItemState& s = site.items[i];
       from.push_back(s.last_writer);
       from.insert(from.end(), s.readers_since.begin(), s.readers_since.end());
@@ -293,8 +289,8 @@ void StreamingOracle::Replay(Site& site, const Record& r) {
       if (s.readers_since.capacity() > 16) s.readers_since.shrink_to_fit();
       s.last_writer = me;
     }
-    for (ItemId i : reads) {
-      if (std::binary_search(writes.begin(), writes.end(), i)) continue;
+    for (ItemId i : r.reads) {
+      if (std::binary_search(r.writes.begin(), r.writes.end(), i)) continue;
       ItemState& s = site.items[i];
       from.push_back(s.last_writer);
       s.readers_since.push_back(me);
@@ -314,8 +310,8 @@ void StreamingOracle::Replay(Site& site, const Record& r) {
       Fail(&reads_.violation, &reads_.consistent,
            StrPrintf("site %d: txn s%d#%lld read item %d = %lld, expected "
                      "%lld",
-                     site_id, origin.origin_site,
-                     static_cast<long long>(origin.seq), item,
+                     r.site, r.origin.origin_site,
+                     static_cast<long long>(r.origin.seq), item,
                      static_cast<long long>(value),
                      static_cast<long long>(expected)));
     }
