@@ -2,7 +2,7 @@
 """Plot bench CSV output.
 
 Usage:
-    ./build/bench/bench_fig2a_backedge_prob --csv > fig2a.csv
+    ./build/bench/bench_paper --sweep=fig2a --csv > fig2a.csv
     scripts/plot_bench.py fig2a.csv -o fig2a.png
 
 The input is the bench's --csv output: '#'-prefixed banner lines, then a

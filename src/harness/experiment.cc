@@ -74,7 +74,7 @@ AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
     if (!g_trace_out.empty()) run_config.enable_trace = true;
     Result<std::unique_ptr<core::System>> system =
         core::System::Create(std::move(run_config));
-    LAZYREP_CHECK(system.ok()) << system.status().ToString();
+    if (!system.ok()) std::exit(UsageError(system.status()));
     // Re-arm the runtime clock so time between Create and Run is not
     // billed to the run. A no-op on a fresh simulator (its clock starts
     // at zero); under the threads backend the wall clock has already been
@@ -190,14 +190,17 @@ std::vector<Flag<BenchOptions>> BenchFlags() {
   return flags;
 }
 
-BenchOptions ParseBenchArgs(int argc, char** argv) {
+BenchOptions ParseBenchArgs(int argc, char** argv,
+                            std::vector<Flag<BenchOptions>> extra) {
+  std::vector<Flag<BenchOptions>> flags = std::move(extra);
+  for (Flag<BenchOptions>& f : BenchFlags()) flags.push_back(std::move(f));
   BenchOptions options;
   if (std::optional<int> exit_code = HandleCommandLine(
           argc, argv,
           std::string(argv[0]) + " — lazyrep bench\n\n" +
-              FlagHelp(BenchFlags(), options),
+              FlagHelp(flags, options),
           [&](const std::vector<std::string>& args) {
-            return ParseFlags(BenchFlags(), args, &options);
+            return ParseFlags(flags, args, &options);
           })) {
     std::exit(*exit_code);
   }

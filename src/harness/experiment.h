@@ -45,8 +45,9 @@ struct AggregateResult {
 };
 
 /// Runs `config` once per seed (seeds 1..num_seeds scaled into the config
-/// seed space) and aggregates. CHECK-fails if the system cannot be built,
-/// or (unless `allow_timeout`) if a run hits the simulation time cap.
+/// seed space) and aggregates. Exits 2 with the reason if the system
+/// rejects the config; CHECK-fails (unless `allow_timeout`) if a run hits
+/// the simulation time cap.
 AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
                          bool allow_timeout = false);
 
@@ -84,9 +85,11 @@ struct BenchOptions {
 /// The benches' flag table: their own flags plus the shared config flags.
 std::vector<Flag<BenchOptions>> BenchFlags();
 
-/// Parses the bench command line. --help prints the flags and exits 0; an
-/// unknown flag or a bad value prints the error and exits 2.
-BenchOptions ParseBenchArgs(int argc, char** argv);
+/// Parses the bench command line over a bench's own `extra` flags plus
+/// `BenchFlags()`. --help prints the flags and exits 0; an unknown flag or
+/// a bad value prints the error and exits 2.
+BenchOptions ParseBenchArgs(int argc, char** argv,
+                            std::vector<Flag<BenchOptions>> extra = {});
 
 /// Applies the options to a bench's base config: the transaction count,
 /// then every shared flag that was set, then the --topology derivation.

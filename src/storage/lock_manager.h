@@ -81,8 +81,11 @@ enum class DeadlockPolicy {
 ///
 /// * Shared/exclusive item locks with upgrade (S→X when sole holder;
 ///   upgrades queue at the front otherwise).
-/// * FIFO grant order — a request waits behind earlier conflicting
-///   waiters, which prevents writer starvation.
+/// * Grant order follows `Config::grant`. The default, `kImmediate`,
+///   grants any request compatible with the current holders, so readers
+///   may pass a waiting writer (starvation is bounded only by the wait
+///   timeout); `kFifo` makes a request wait behind earlier conflicting
+///   waiters instead.
 /// * Waits are bounded by `Config::wait_timeout`; expiry resumes the
 ///   waiter with `kTimeout` (the request is dequeued — retry re-queues).
 /// * `Transaction::RequestAbort` unlinks any queued request of that
