@@ -5,8 +5,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <latch>
 #include <thread>
 
@@ -711,8 +709,6 @@ void System::RunThreads() {
   const auto poll = std::chrono::nanoseconds(
       std::max<Duration>(config_.quiesce_poll, kMillisecond));
   auto past_deadline = [&] { return cap > 0 && runtime_->Now() >= cap; };
-  const bool dbg = std::getenv("LAZYREP_CHAOS_DEBUG") != nullptr;
-  if (dbg) std::fprintf(stderr, "[chaos] waiting for workers\n");
   // While it waits, this thread replays the commits for the streaming
   // oracle, off the executors' paths.
   auto pump = [this] {
@@ -727,18 +723,7 @@ void System::RunThreads() {
     timed_out_ = true;
   } else {
     workload_elapsed_ = runtime_->Now();
-    if (dbg) std::fprintf(stderr, "[chaos] workers done at %lldms\n",
-                          (long long)(workload_elapsed_ / 1000000));
-    int polls = 0;
     while (!ThreadsQuiescent() && !timed_out_) {
-      if (dbg && ++polls % 200 == 0) {
-        std::fprintf(
-            stderr,
-            "[chaos] drain poll %d: pending=%lld crashes=%d transport_q=%d\n",
-            polls, (long long)metrics_.pending_propagations(),
-            (int)crashes_outstanding_.load(),
-            transport_ != nullptr ? (int)!transport_->Quiescent() : -1);
-      }
       if (past_deadline()) {
         timed_out_ = true;
         break;

@@ -111,15 +111,6 @@ class Network : public Transport<T> {
 
   using Handler = std::function<void(Envelope)>;
 
-  /// Endpoint count at or below which per-channel wire state lives in a
-  /// dense endpoints² array (the layout every golden was recorded
-  /// against). Above it the copy graph is sparse relative to m², so
-  /// cells are created lazily per touched channel — O(edges) memory
-  /// instead of O(m²). Either representation produces byte-identical
-  /// schedules: a lazily-created cell starts from the same zero clocks
-  /// as a dense one.
-  static constexpr int kDenseChannelThreshold = 64;
-
   /// `cpus[i]` is the machine CPU serving endpoint `i` (entries may repeat
   /// when sites share a machine, and may be nullptr to skip CPU charging).
   Network(runtime::Runtime* rt, int num_endpoints, Config config,
@@ -134,23 +125,14 @@ class Network : public Transport<T> {
         received_at_(num_endpoints) {
     LAZYREP_CHECK_GT(num_endpoints, 0);
     LAZYREP_CHECK_EQ(cpus_.size(), static_cast<size_t>(num_endpoints));
-    if (num_endpoints <= kDenseChannelThreshold) {
-      channels_.resize(static_cast<size_t>(num_endpoints) * num_endpoints);
-    } else {
-      sparse_channels_.resize(static_cast<size_t>(num_endpoints));
-    }
+    channels_.resize(static_cast<size_t>(num_endpoints));
   }
-
-  /// True when per-channel wire state uses the dense endpoints² array
-  /// (test introspection).
-  bool dense_channels() const { return !channels_.empty(); }
 
   /// Number of materialized per-channel wire cells (test introspection;
   /// exact only once traffic has quiesced).
   size_t allocated_channels() const {
-    if (!channels_.empty()) return channels_.size();
     size_t n = 0;
-    for (const auto& m : sparse_channels_) n += m.size();
+    for (const auto& m : channels_) n += m.size();
     return n;
   }
 
@@ -443,18 +425,12 @@ class Network : public Transport<T> {
                               });
   }
 
-  size_t ChannelIndex(SiteId src, SiteId dst) const {
-    return static_cast<size_t>(src) * num_endpoints_ + dst;
-  }
-
-  /// The wire-state cell for (src, dst), materializing it on first touch
-  /// under the sparse representation. Safe without a lock for the same
-  /// reason the dense cells are: a channel's Dispatch always runs on the
-  /// source endpoint's machine, so `sparse_channels_[src]` has exactly
-  /// one writer thread.
+  /// The wire-state cell for (src, dst), materialized on first touch.
+  /// Safe without a lock: a channel's Dispatch always runs on the source
+  /// endpoint's home lane, so `channels_[src]` has exactly one writer
+  /// thread.
   Channel& ChannelFor(SiteId src, SiteId dst) {
-    if (!channels_.empty()) return channels_[ChannelIndex(src, dst)];
-    return sparse_channels_[static_cast<size_t>(src)][dst];
+    return channels_[static_cast<size_t>(src)][dst];
   }
 
   SiteId Check(SiteId s) const {
@@ -556,13 +532,10 @@ class Network : public Transport<T> {
   /// sizers are set before traffic starts and read-only after, so they
   /// stay outside the lock.
   mutable std::mutex mu_;
-  /// Dense per-(src, dst) cells when num_endpoints_ is at most
-  /// kDenseChannelThreshold; empty otherwise.
-  std::vector<Channel> channels_;
-  /// Sparse representation above the threshold: per-source maps of
-  /// lazily-created cells, keyed by destination. Each map is
-  /// machine-confined to its source endpoint (see ChannelFor).
-  std::vector<std::unordered_map<SiteId, Channel>> sparse_channels_;
+  /// Per-source maps of lazily-created channel cells, keyed by
+  /// destination: O(touched channels) memory, not O(m²). Each map is
+  /// confined to its source endpoint (see ChannelFor).
+  std::vector<std::unordered_map<SiteId, Channel>> channels_;
   SimTime bus_busy_until_ = 0;  // Guarded by mu_.
   std::vector<Handler> handlers_;
   Observer observer_;

@@ -556,25 +556,6 @@ INSTANTIATE_TEST_SUITE_P(BothBackends, NetworkBackendTest,
                                       : "Sim";
                          });
 
-TEST(NetworkTest, ChannelStateGoesSparseAboveThreshold) {
-  SimRuntime rt;
-  {
-    const int n = IntNet::kDenseChannelThreshold;
-    IntNet net(&rt, n, NoCpuConfig(Millis(1)),
-               std::vector<runtime::Resource*>(n, nullptr), Rng(1));
-    EXPECT_TRUE(net.dense_channels());
-    EXPECT_EQ(net.allocated_channels(),
-              static_cast<size_t>(n) * static_cast<size_t>(n));
-  }
-  {
-    const int n = IntNet::kDenseChannelThreshold + 1;
-    IntNet net(&rt, n, NoCpuConfig(Millis(1)),
-               std::vector<runtime::Resource*>(n, nullptr), Rng(1));
-    EXPECT_FALSE(net.dense_channels());
-    EXPECT_EQ(net.allocated_channels(), 0u);  // Cells materialize lazily.
-  }
-}
-
 TEST(NetworkTest, SparseAllocatesOnlyTouchedChannels) {
   // A 128-endpoint chain touches 127 channels, not 128² — the tentpole
   // memory fix for 100+ site copy graphs (docs/SCALE.md).
@@ -583,7 +564,7 @@ TEST(NetworkTest, SparseAllocatesOnlyTouchedChannels) {
   const int n = 128;
   IntNet net(&rt, n, NoCpuConfig(Millis(1)),
              std::vector<runtime::Resource*>(n, nullptr), Rng(1));
-  ASSERT_FALSE(net.dense_channels());
+  EXPECT_EQ(net.allocated_channels(), 0u);  // Cells materialize lazily.
   int delivered = 0;
   for (SiteId s = 0; s < n; ++s) {
     net.SetHandler(s, [&](IntNet::Envelope) { ++delivered; });
@@ -594,10 +575,10 @@ TEST(NetworkTest, SparseAllocatesOnlyTouchedChannels) {
   EXPECT_EQ(net.allocated_channels(), static_cast<size_t>(n - 1));
 }
 
-TEST(NetworkTest, SparseAndDenseProduceIdenticalSchedules) {
+TEST(NetworkTest, SchedulesDoNotDependOnEndpointCount) {
   // The same traffic pattern with the same jitter seed must arrive at
-  // byte-identical times under both representations — the sparse path
-  // only changes where Channel cells live, never their contents.
+  // byte-identical times however many endpoints the network has: idle
+  // endpoints own no channel cells and draw nothing from the RNG.
   auto run = [](int n) {
     SimRuntime rt;
     Simulator& sim = *rt.simulator();
@@ -623,9 +604,7 @@ TEST(NetworkTest, SparseAndDenseProduceIdenticalSchedules) {
     sim.Run();
     return got;
   };
-  auto dense = run(IntNet::kDenseChannelThreshold);
-  auto sparse = run(IntNet::kDenseChannelThreshold + 40);
-  EXPECT_EQ(dense, sparse);
+  EXPECT_EQ(run(3), run(104));
 }
 
 TEST(NetworkTest, StringPayloads) {
