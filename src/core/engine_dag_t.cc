@@ -56,7 +56,6 @@ runtime::Co<Status> DagTEngine::ExecutePrimary(GlobalTxnId id,
     update.writes = writes;
     update.ts = site_ts_;
     update.origin_site = ctx_.site;
-    update.origin_commit_time = ctx_.rt->Now();
     if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
     RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
     for (SiteId child :

@@ -80,7 +80,6 @@ runtime::Co<Status> DagWtEngine::ExecutePrimary(GlobalTxnId id,
     update.origin = id;
     update.writes = writes;
     update.origin_site = ctx_.site;
-    update.origin_commit_time = ctx_.rt->Now();
     // MVCC levels only: carry the origin's commit stamp so downstream
     // appliers can advance their per-origin applied tracker (RYW).
     if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;

@@ -35,7 +35,10 @@ struct SecondaryUpdate {
   bool is_special = false;
   /// Origin site of the transaction (identifies the special's endpoint).
   SiteId origin_site = kInvalidSite;
-  /// When the origin (primary) committed — propagation-delay metric.
+  /// When the origin (primary) committed (0 = absent). Read only by
+  /// NaiveLazy's last-writer-wins applier; BackEdge also sets it. Encoded
+  /// behind a flags bit, so the DAG protocols, which leave it 0, ship no
+  /// bytes for it.
   SimTime origin_commit_time = 0;
   /// The origin's commit *stamp* (commit_seq + 1; 0 = absent). Only
   /// populated under MVCC consistency levels (docs/MVCC.md): appliers

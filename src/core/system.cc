@@ -579,6 +579,10 @@ runtime::Co<void> System::Worker(SiteId site, int exec, Rng rng) {
           rng.Exponential(backoff_ms) * static_cast<double>(kMillisecond)));
       backoff_ms = std::min(backoff_ms * 2.0, 250.0);
     }
+    // Request boundary: under the threads runtime a session whose
+    // requests never suspend would otherwise starve every applier,
+    // delivery and timer on its lane until it finished (docs/RUNTIME.md).
+    co_await runtime_->Yield();
   }
   workers_done_.Done();
 }

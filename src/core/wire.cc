@@ -61,13 +61,14 @@ struct EncodeVisitor {
   void operator()(const SecondaryUpdate& u) const {
     PutTxnId(s, u.origin);
     s->Signed(u.origin_site);
-    s->Signed(u.origin_commit_time);
-    // Bit 4: an origin commit stamp follows (MVCC levels only) — the
-    // field costs zero bytes when absent, so serializable-mode frames
-    // are byte-identical to pre-MVCC builds.
+    // Optional fields cost zero bytes when absent. Bit 8: an origin
+    // commit time follows (only the protocols whose appliers read it set
+    // it). Bit 4: an origin commit stamp follows (MVCC levels only).
     s->Byte(static_cast<uint8_t>((u.is_dummy ? 1 : 0) |
                                  (u.is_special ? 2 : 0) |
-                                 (u.origin_commit_seq != 0 ? 4 : 0)));
+                                 (u.origin_commit_seq != 0 ? 4 : 0) |
+                                 (u.origin_commit_time != 0 ? 8 : 0)));
+    if (u.origin_commit_time != 0) s->Signed(u.origin_commit_time);
     if (u.origin_commit_seq != 0) s->Signed(u.origin_commit_seq);
     PutTimestamp(s, u.ts);
     PutWrites(s, u.writes);
@@ -210,6 +211,19 @@ struct Reader {
     ts.set_epoch(epoch);
     return ts;
   }
+  SecondaryUpdate Update() {
+    SecondaryUpdate u;
+    u.origin = TxnId();
+    u.origin_site = static_cast<SiteId>(Signed());
+    uint8_t flags = Byte();
+    u.is_dummy = (flags & 1) != 0;
+    u.is_special = (flags & 2) != 0;
+    if ((flags & 8) != 0) u.origin_commit_time = Signed();
+    if ((flags & 4) != 0) u.origin_commit_seq = Signed();
+    u.ts = Ts();
+    u.writes = Writes();
+    return u;
+  }
 };
 
 }  // namespace
@@ -281,20 +295,9 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
   Reader r{bytes, 1, Status::OK()};
   ProtocolMessage message;
   switch (bytes[0]) {
-    case 0: {
-      SecondaryUpdate u;
-      u.origin = r.TxnId();
-      u.origin_site = static_cast<SiteId>(r.Signed());
-      u.origin_commit_time = r.Signed();
-      uint8_t flags = r.Byte();
-      u.is_dummy = (flags & 1) != 0;
-      u.is_special = (flags & 2) != 0;
-      if ((flags & 4) != 0) u.origin_commit_seq = r.Signed();
-      u.ts = r.Ts();
-      u.writes = r.Writes();
-      message = std::move(u);
+    case 0:
+      message = r.Update();
       break;
-    }
     case 1: {
       BackedgeStart m;
       m.origin = r.TxnId();
@@ -368,23 +371,13 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
     case 10: {
       SecondaryBatch batch;
       uint64_t n = r.Varint();
-      // A SecondaryUpdate encodes to >= 8 bytes (7 varints + the flag
+      // A SecondaryUpdate encodes to >= 7 bytes (6 varints + the flag
       // byte, each at least one byte).
-      if (r.status.ok() && n > r.MaxCount(8)) {
+      if (r.status.ok() && n > r.MaxCount(7)) {
         r.status = Status::InvalidArgument("bad batch count");
       }
       for (uint64_t i = 0; i < n && r.status.ok(); ++i) {
-        SecondaryUpdate u;
-        u.origin = r.TxnId();
-        u.origin_site = static_cast<SiteId>(r.Signed());
-        u.origin_commit_time = r.Signed();
-        uint8_t flags = r.Byte();
-        u.is_dummy = (flags & 1) != 0;
-        u.is_special = (flags & 2) != 0;
-        if ((flags & 4) != 0) u.origin_commit_seq = r.Signed();
-        u.ts = r.Ts();
-        u.writes = r.Writes();
-        batch.updates.push_back(std::move(u));
+        batch.updates.push_back(r.Update());
       }
       message = std::move(batch);
       break;

@@ -203,6 +203,27 @@ class Runtime {
     };
     return Awaiter{this, exec};
   }
+
+  /// Awaitable that lets the rest of the calling lane's ready work run
+  /// before the caller continues. Scheduling is cooperative: a coroutine
+  /// that never suspends owns its lane, and every applier, delivery and
+  /// timer queued there waits until it does. Long-running loops (client
+  /// sessions) await this at request boundaries. Under `kThreads` the
+  /// caller is re-enqueued at the back of its lane's FIFO ready queue;
+  /// under `kSim` it is ready at once and schedules no event, so the
+  /// schedule stays byte-identical (simulated CPU charges already
+  /// interleave the machines there).
+  auto Yield() {
+    struct Awaiter {
+      Runtime* rt;
+      bool await_ready() { return !rt->concurrent(); }
+      void await_suspend(std::coroutine_handle<> h) {
+        rt->ScheduleHandleOn(rt->HomeMachine(), 0, h);
+      }
+      void await_resume() {}
+    };
+    return Awaiter{this};
+  }
 };
 
 }  // namespace lazyrep::runtime

@@ -14,7 +14,8 @@
 //     adapter perturbed the event schedule.
 //  3. ThreadRuntimeLanesTest / SimRuntimeLanesTest — the multi-worker
 //     lane model: executor indexing, RunOn hops, cross-lane primitive
-//     wake-ups, and RunOn's no-suspension guarantee under the sim.
+//     wake-ups, Yield's FIFO fairness, and RunOn's and Yield's
+//     no-suspension guarantee under the sim.
 //  4. ThreadRuntimeSystemTest — cross-backend equivalence: the BackEdge
 //     protocol at paper defaults stays serializable and replica-
 //     convergent under real threads across several seeds.
@@ -313,6 +314,56 @@ TEST(SimRuntimeLanesTest, RunOnNeverSuspendsUnderTheSim) {
   EXPECT_TRUE(after_hop);
 }
 
+// ---------------------------------------------------------------------
+// Yield: the fairness hook client sessions await between requests.
+
+Co<void> YieldOnce(Runtime* rt, std::vector<std::string>* order,
+                   WaitGroup* wg) {
+  order->push_back("A before yield");
+  co_await rt->Yield();
+  order->push_back("A after yield");
+  wg->Done();
+}
+
+Co<void> RunOnce(std::vector<std::string>* order, WaitGroup* wg) {
+  order->push_back("B");
+  wg->Done();
+  co_return;
+}
+
+TEST(ThreadRuntimeLanesTest, YieldRunsTheLanesOtherReadyWorkFirst) {
+  ThreadRuntime rt(/*num_machines=*/1);
+  WaitGroup wg(&rt);
+  wg.Add(2);
+  std::vector<std::string> order;  // Touched only by lane 0.
+  // Both enqueued before the lane starts, so A runs first and B waits
+  // in the same FIFO ready queue.
+  rt.SpawnOn(0, YieldOnce(&rt, &order, &wg));
+  rt.SpawnOn(0, RunOnce(&order, &wg));
+  rt.Start();
+  ASSERT_TRUE(wg.WaitBlocking(Seconds(30))) << "yield hung";
+  EXPECT_EQ(order, (std::vector<std::string>{"A before yield", "B",
+                                             "A after yield"}));
+  rt.Shutdown();
+}
+
+TEST(SimRuntimeLanesTest, YieldSchedulesNoEventUnderTheSim) {
+  // Under kSim the simulated CPU charges already interleave the
+  // machines; Yield must leave the event schedule untouched.
+  SimRuntime rt;
+  WaitGroup wg(&rt);
+  wg.Add(1);
+  std::vector<std::string> order;
+  rt.Spawn(YieldOnce(&rt, &order, &wg));
+  // Spawn runs the coroutine inline until its first suspension point,
+  // so reaching the end without Run() proves Yield never suspended.
+  EXPECT_EQ(order, (std::vector<std::string>{"A before yield",
+                                             "A after yield"}));
+  EXPECT_EQ(wg.pending(), 0);
+  rt.simulator()->Run();
+  EXPECT_EQ(rt.simulator()->events_processed(), 0u);
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Backends, RuntimeBackendTest,
     ::testing::Values(RuntimeKind::kSim, RuntimeKind::kThreads),
@@ -347,9 +398,9 @@ TEST(SimGoldenMetricsTest, RefactorPreservesScheduleBitForBit) {
   const GoldenRun kGolden[] = {
       {core::Protocol::kBackEdge, 810, 270, 906, 27352, 1291950400,
        1291950400, 967, 270},
-      {core::Protocol::kDagWt, 884, 196, 416, 19797, 1058780000, 1068780000,
+      {core::Protocol::kDagWt, 884, 196, 416, 17788, 1058780000, 1068780000,
        923, 196},
-      {core::Protocol::kDagT, 901, 179, 1576, 36070, 1099780000, 1209780000,
+      {core::Protocol::kDagT, 901, 179, 1576, 33477, 1099780000, 1209780000,
        930, 179},
   };
   for (const GoldenRun& golden : kGolden) {

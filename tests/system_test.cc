@@ -3,6 +3,7 @@
 // verified on the recorded histories and replica convergence on the
 // final stores. NaiveLazy is the negative control.
 
+#include <algorithm>
 #include <cstring>
 
 #include <gtest/gtest.h>
@@ -832,6 +833,59 @@ INSTANTIATE_TEST_SUITE_P(
       std::erase_if(name, [](char c) { return !std::isalnum(c); });
       return name;
     });
+
+// ------------------------------------------------------- fair lanes
+// Under the real-cost profile no client request suspends, so a client
+// session that never yields runs all of its requests before its lane's
+// appliers and deliveries get a turn: every secondary a site receives
+// piles up in its apply queue, and no transaction closes in the oracle.
+// With sessions yielding between requests, both are bounded by one
+// scheduling round and must not grow with run length.
+
+struct BacklogPeaks {
+  double queue_peak = 0;
+  size_t live_peak = 0;
+};
+
+BacklogPeaks RunRealCostDagWt(int txns_per_thread) {
+  SystemConfig config = SmallConfig(Protocol::kDagWt, 61);
+  config.runtime = runtime::RuntimeKind::kThreads;
+  // One machine, so one lane interleaves every session, applier and
+  // delivery, and the bound does not depend on how the host's scheduler
+  // slices several executor threads.
+  config.workload.sites_per_machine = config.workload.num_sites;
+  config.costs.model_cpu = false;
+  config.costs.net_jitter = 0;
+  config.costs.loopback_latency = 0;
+  config.workload.network_latency = 0;
+  config.workload.txns_per_thread = txns_per_thread;
+  auto system = System::Create(std::move(config));
+  EXPECT_TRUE(system.ok()) << system.status().ToString();
+  if (!system.ok()) return {};
+  RunMetrics metrics = (*system)->Run();
+  EXPECT_TRUE(metrics.serializable) << metrics.verdict;
+  EXPECT_TRUE(metrics.converged);
+  BacklogPeaks peaks;
+  for (const obs::MetricSnapshot& family :
+       (*system)->obs_registry().Snapshot()) {
+    if (family.name != "lazyrep_engine_queue_peak") continue;
+    for (const auto& cell : family.cells) {
+      peaks.queue_peak = std::max(peaks.queue_peak, cell.value);
+    }
+  }
+  peaks.live_peak = (*system)->oracle()->stats().peak_live_txns;
+  return peaks;
+}
+
+TEST(SystemTest, RealCostBacklogDoesNotGrowWithRunLength) {
+  constexpr int kTxns = 50;
+  BacklogPeaks one = RunRealCostDagWt(kTxns);
+  BacklogPeaks four = RunRealCostDagWt(4 * kTxns);
+  EXPECT_LE(four.queue_peak, 2 * one.queue_peak + 16)
+      << one.queue_peak << " queued at 1x";
+  EXPECT_LE(four.live_peak, 2 * one.live_peak + 32)
+      << one.live_peak << " live at 1x";
+}
 
 }  // namespace
 }  // namespace lazyrep::core
