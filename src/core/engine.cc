@@ -60,6 +60,74 @@ runtime::Co<Status> ReplicationEngine::RunLocalTxn(
   co_return Status::OK();
 }
 
+runtime::Co<Status> ReplicationEngine::RunPrimaryAtHome(
+    storage::TxnPtr txn, const workload::TxnSpec& spec,
+    std::vector<WriteRecord>* writes) {
+  Status st = co_await RunLocalTxn(txn, spec, writes);
+  if (!st.ok()) co_return st;
+  co_await ctx_.rt->RunOn(ctx_.machine);
+  if (txn->abort_requested()) {
+    co_await ctx_.db->Abort(txn);
+    co_return txn->abort_reason();
+  }
+  co_return Status::OK();
+}
+
+SecondaryUpdate ReplicationEngine::OriginUpdate(
+    const GlobalTxnId& id, const std::vector<WriteRecord>& writes,
+    int64_t seq) {
+  SecondaryUpdate update;
+  update.origin = id;
+  update.writes = writes;
+  update.origin_site = ctx_.site;
+  if (StampsOriginCommitTime()) update.origin_commit_time = ctx_.rt->Now();
+  // MVCC levels only: carry the origin's commit stamp so downstream
+  // appliers can advance their per-origin applied tracker (RYW).
+  if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
+  RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
+  return update;
+}
+
+runtime::Co<void> ReplicationEngine::ApplySecondary(
+    const SecondaryArrival& arrival,
+    std::function<void(int64_t commit_seq)> on_commit) {
+  const SecondaryUpdate& update = arrival.update;
+  storage::TxnPtr txn =
+      ctx_.db->Begin(update.origin, storage::TxnKind::kSecondary);
+  bool applied_any = false;
+  bool ok = co_await ApplySecondaryWrites(txn, update.writes, &applied_any);
+  LAZYREP_CHECK(ok) << "secondary subtransactions are never aborted";
+  Status st = co_await ctx_.db->Commit(
+      txn, std::move(on_commit),
+      /*defer_wal_sync=*/GroupCommit() && !arrival.batch_end);
+  LAZYREP_CHECK(st.ok()) << st.ToString();
+  ++secondaries_committed_;
+  NoteSecondaryCommitted(update, applied_any);
+}
+
+void ReplicationEngine::NoteSecondaryCommitted(const SecondaryUpdate& update,
+                                               bool applied) {
+  if (update.origin_commit_seq != 0) {
+    ctx_.db->NoteOriginApplied(update.origin_site, update.origin_commit_seq);
+  }
+  if (applied) ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
+}
+
+obs::Labels ReplicationEngine::ExportApplierObs(const char* protocol,
+                                                size_t queue_peak) {
+  obs::Labels labels{{"site", std::to_string(ctx_.site)},
+                     {"protocol", protocol}};
+  ctx_.obs
+      ->GetCounter("lazyrep_engine_secondaries_committed_total", labels,
+                   "Secondary subtransactions committed")
+      ->Increment(secondaries_committed_);
+  ctx_.obs
+      ->GetGauge("lazyrep_engine_queue_peak", labels,
+                 "High watermark of the engine's FIFO apply queue(s)")
+      ->Set(static_cast<double>(queue_peak));
+  return labels;
+}
+
 runtime::Co<Status> ReplicationEngine::ExecuteSnapshotRead(
     GlobalTxnId id, const workload::TxnSpec& spec,
     storage::Session* session) {
@@ -86,7 +154,7 @@ runtime::Co<Status> ReplicationEngine::ExecuteSnapshotRead(
     LAZYREP_CHECK(handle.stamp >= session->floor_stamp)
         << "watermark below the session's own commit";
   }
-  if (ctx_.metrics != nullptr && db.watermark_publish_time() > 0) {
+  if (db.watermark_publish_time() > 0) {
     ctx_.metrics->OnSnapshotStaleness(
         ctx_.site, ctx_.rt->Now() - db.watermark_publish_time());
   }
@@ -144,18 +212,19 @@ runtime::Co<bool> ReplicationEngine::AcquireXAsSecondary(
 
 void ReplicationEngine::AbortOneBlocker(storage::Transaction* waiter,
                                         ItemId item) {
-  std::vector<storage::Transaction*> blockers =
-      ctx_.db->locks().BlockingHolders(waiter, item,
-                                       storage::LockMode::kExclusive);
+  // The references keep every blocker alive while it is inspected, even
+  // if it finishes on another lane meanwhile.
+  std::vector<storage::TxnPtr> blockers = ctx_.db->locks().BlockingHolders(
+      waiter, item, storage::LockMode::kExclusive);
   storage::Transaction* victim = nullptr;
-  for (storage::Transaction* b : blockers) {
+  for (const storage::TxnPtr& b : blockers) {
     if (!b->CanBeVictim() || b->abort_requested()) continue;
     if (b->backedge_pending()) {
-      victim = b;
+      victim = b.get();
       break;
     }
     if (victim == nullptr || b->arrival_seq() > victim->arrival_seq()) {
-      victim = b;
+      victim = b.get();
     }
   }
   if (victim != nullptr) {

@@ -1,6 +1,7 @@
 #ifndef LAZYREP_CORE_ENGINE_H_
 #define LAZYREP_CORE_ENGINE_H_
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -59,13 +60,13 @@ class ReplicationEngine {
     int machine = 0;
     storage::Database* db = nullptr;
     /// Message egress — the raw Network, or the reliable-delivery layer
-    /// when a FaultPlan injects network faults.
+    /// when a FaultPlan is enabled or any transport batching knob is on.
     ProtocolTransport* net = nullptr;
     std::shared_ptr<const Routing> routing;
     MetricsCollector* metrics = nullptr;
     /// The streaming serializability oracle; nullptr when not checking.
     StreamingOracle* oracle = nullptr;
-    /// Labelled metrics registry; nullptr when observability is off.
+    /// Labelled metrics registry (the System's; always set).
     obs::MetricsRegistry* obs = nullptr;
     const SystemConfig* config = nullptr;
     /// Site up/down state under fault injection; nullptr without faults.
@@ -154,6 +155,16 @@ class ReplicationEngine {
   /// transaction).
   runtime::Co<bool> AcquireXAsSecondary(storage::Transaction* txn, ItemId item);
 
+  /// The primary step of the lazy engines: runs `txn` locally
+  /// (RunLocalTxn), then hops to the home lane — the commit order and
+  /// everything the commit hook touches are home-lane-confined (no-op
+  /// under kSim and when the transaction already ran there) — and
+  /// honours a victimization that landed during the hop. On a non-OK
+  /// status the transaction is already rolled back.
+  runtime::Co<Status> RunPrimaryAtHome(storage::TxnPtr txn,
+                                       const workload::TxnSpec& spec,
+                                       std::vector<WriteRecord>* writes);
+
   /// Applies `writes` (filtered to items replicated at this site) under
   /// locks acquired via AcquireXAsSecondary and charges apply CPU.
   /// Returns false when `txn` was marked for abort mid-way; out-param
@@ -161,6 +172,32 @@ class ReplicationEngine {
   runtime::Co<bool> ApplySecondaryWrites(storage::TxnPtr txn,
                                      const std::vector<WriteRecord>& writes,
                                      bool* applied_any);
+
+  /// The apply step of the ordered lazy engines: runs `arrival` as a
+  /// secondary subtransaction (never aborted) and commits it with
+  /// `on_commit` in the commit's atomic region. Under group commit every
+  /// arrival but the last of its delivered batch defers the WAL sync;
+  /// the batch's last commit seals them all (the boundary is cumulative).
+  runtime::Co<void> ApplySecondary(
+      const SecondaryArrival& arrival,
+      std::function<void(int64_t commit_seq)> on_commit);
+
+  /// After a secondary subtransaction commits: advances the per-origin
+  /// applied tracker (RYW, docs/MVCC.md) and, when it `applied` anything,
+  /// closes this site's propagation sample.
+  void NoteSecondaryCommitted(const SecondaryUpdate& update, bool applied);
+
+  /// From the origin's commit hook (`seq` is the hook's commit sequence):
+  /// builds the lazy update carrying `writes` and registers its
+  /// propagation to every replica target.
+  SecondaryUpdate OriginUpdate(const GlobalTxnId& id,
+                               const std::vector<WriteRecord>& writes,
+                               int64_t seq);
+
+  /// Whether OriginUpdate stamps `origin_commit_time`. Only NaiveLazy's
+  /// LWW applier reads it; BackEdge keeps stamping it so its frames, and
+  /// through the bandwidth model its schedules, stay as they were.
+  virtual bool StampsOriginCommitTime() const { return false; }
 
   /// From the origin's commit hook: registers `id`'s propagation to
   /// `targets` replica sites with the metrics, and tells the oracle to
@@ -171,14 +208,17 @@ class ReplicationEngine {
     if (ctx_.oracle != nullptr) ctx_.oracle->ExpectRecords(id, 1 + targets);
   }
 
+  /// Exports the cells every ordered lazy engine shares — secondaries
+  /// committed and the apply-queue high watermark — and returns the
+  /// labels for the engine's own cells.
+  obs::Labels ExportApplierObs(const char* protocol, size_t queue_peak);
+
   /// Victim selection used by AcquireXAsSecondary after a timeout.
   void AbortOneBlocker(storage::Transaction* waiter, ItemId item);
 
   /// WAL group commit on (docs/PERFORMANCE.md §6): secondary appliers
   /// defer the per-commit WAL sync until the batch boundary.
-  bool GroupCommit() const {
-    return ctx_.config != nullptr && ctx_.config->batching.wal_group_commit;
-  }
+  bool GroupCommit() const { return ctx_.config->batching.wal_group_commit; }
 
   /// Unpacks a delivered update/batch envelope into per-arrival entries:
   /// every inner update of a `SecondaryBatch` keeps `batch_end = false`
@@ -212,6 +252,9 @@ class ReplicationEngine {
 
   Context ctx_;
   bool shutdown_ = false;
+  /// Secondary subtransactions ApplySecondary committed (home-lane-
+  /// confined; exported at quiescence).
+  uint64_t secondaries_committed_ = 0;
 };
 
 /// Factory: builds the engine for `config.protocol` at `ctx.site`.

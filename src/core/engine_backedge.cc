@@ -1,62 +1,20 @@
 #include "core/engine_backedge.h"
 
-#include <algorithm>
-
 namespace lazyrep::core {
-
-BackEdgeEngine::BackEdgeEngine(Context ctx)
-    : ReplicationEngine(std::move(ctx)), inbox_(ctx_.rt) {}
-
-void BackEdgeEngine::Start() {
-  LAZYREP_CHECK(ctx_.routing->tree().has_value());
-  if (ctx_.routing->tree()->Parent(ctx_.site) != kInvalidSite) {
-    ctx_.rt->SpawnOn(ctx_.machine, Applier());
-  }
-}
-
-void BackEdgeEngine::ForwardToRelevantChildren(
-    const SecondaryUpdate& update) {
-  for (SiteId child :
-       ctx_.routing->RelevantTreeChildren(ctx_.site, update.writes)) {
-    ctx_.net->Post(ctx_.site, child, ProtocolMessage(update));
-  }
-}
 
 runtime::Co<Status> BackEdgeEngine::ExecutePrimary(
     GlobalTxnId id, const workload::TxnSpec& spec) {
   storage::TxnPtr txn = ctx_.db->Begin(id, storage::TxnKind::kPrimary);
   std::vector<WriteRecord> writes;
-  Status st = co_await RunLocalTxn(txn, spec, &writes);
+  Status st = co_await RunPrimaryAtHome(txn, spec, &writes);
   if (!st.ok()) co_return st;
-
-  // Hop to the home lane before touching any engine state: the pending
-  // map, tombstones, backedge counters, every network post, and the
-  // commit order are all home-lane-confined (no-op under kSim and when
-  // the transaction already ran there).
-  co_await ctx_.rt->RunOn(ctx_.machine);
-  if (txn->abort_requested()) {
-    co_await ctx_.db->Abort(txn);
-    co_return txn->abort_reason();
-  }
 
   std::vector<SiteId> targets =
       ctx_.routing->BackedgeTargets(ctx_.site, writes);
   if (targets.empty()) {
-    // Pure DAG(WT) path: commit and propagate lazily (§4.1 step 4 note:
-    // transactions without backedge subtransactions run exactly as in
-    // DAG(WT)).
-    st = co_await ctx_.db->Commit(txn, [&](int64_t seq) {
-      if (writes.empty()) return;
-      SecondaryUpdate update;
-      update.origin = id;
-      update.writes = writes;
-      update.origin_site = ctx_.site;
-      update.origin_commit_time = ctx_.rt->Now();
-      if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-      RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
-      ForwardToRelevantChildren(update);
-    });
-    co_return st;
+    // §4.1: transactions without backedge subtransactions run exactly as
+    // in DAG(WT).
+    co_return co_await CommitLazily(txn, id, writes);
   }
 
   // Eager backedge path (§4.1 steps 1-3): hold locks, send the backedge
@@ -112,10 +70,8 @@ runtime::Co<Status> BackEdgeEngine::AbortPendingPrimary(GlobalTxnId id,
 }
 
 void BackEdgeEngine::OnMessage(ProtocolNetwork::Envelope env) {
-  if (auto* update = std::get_if<SecondaryUpdate>(&env.payload)) {
-    LAZYREP_CHECK_EQ(env.src, ctx_.routing->tree()->Parent(ctx_.site));
-    inbox_.Send(SecondaryArrival{std::move(*update), env.batch_end});
-    inbox_peak_ = std::max(inbox_peak_, inbox_.size());
+  if (std::holds_alternative<SecondaryUpdate>(env.payload)) {
+    DagWtEngine::OnMessage(std::move(env));
   } else if (auto* start = std::get_if<BackedgeStart>(&env.payload)) {
     ++active_handlers_;
     ctx_.rt->Spawn(HandleBackedgeStart(std::move(*start)));
@@ -150,135 +106,84 @@ void BackEdgeEngine::OnMessage(ProtocolNetwork::Envelope env) {
   }
 }
 
-runtime::Co<void> BackEdgeEngine::HandleBackedgeStart(BackedgeStart start) {
-  if (tombstones_.count(start.origin) > 0) {
-    --active_handlers_;
-    co_return;
-  }
-  storage::TxnPtr txn =
-      ctx_.db->Begin(start.origin, storage::TxnKind::kRemoteProxy);
+runtime::Co<bool> BackEdgeEngine::ExecuteProxy(
+    GlobalTxnId origin, SiteId origin_site,
+    const std::vector<WriteRecord>& writes) {
+  storage::TxnPtr txn = ctx_.db->Begin(origin, storage::TxnKind::kRemoteProxy);
   txn->set_backedge_pending(true);
   Proxy proxy;
   proxy.txn = txn;
   proxy.executing = true;
-  proxies_.emplace(start.origin, proxy);
+  proxies_.emplace(origin, proxy);
   // If this proxy is victimized, the whole global transaction dies: tell
   // the origin, which broadcasts aborts along the path.
-  GlobalTxnId origin = start.origin;
-  SiteId origin_site = start.origin_site;
   txn->AddAbortHook([this, origin, origin_site] {
     ctx_.net->Post(ctx_.site, origin_site,
                    ProtocolMessage(BackedgeAbort{origin}));
   });
 
   bool applied_any = false;
-  bool ok = co_await ApplySecondaryWrites(txn, start.writes, &applied_any);
+  bool ok = co_await ApplySecondaryWrites(txn, writes, &applied_any);
   if (!ok) {
     // Victimized mid-execution; roll back. The abort hook has already
     // notified the origin.
     proxies_.erase(origin);
     tombstones_.insert(origin);
     co_await ctx_.db->Abort(txn);
-    --active_handlers_;
-    co_return;
+    co_return false;
   }
   auto it = proxies_.find(origin);
   LAZYREP_CHECK(it != proxies_.end());
   it->second.executing = false;
   it->second.applied_any = applied_any;
+  co_return true;
+}
 
-  // §4.1 step 2: relay the special secondary subtransaction down the tree
-  // toward the origin.
-  SecondaryUpdate special;
-  special.origin = origin;
-  special.writes = start.writes;
-  special.is_special = true;
-  special.origin_site = origin_site;
-  special.origin_commit_time = start.primary_done_time;
-  SiteId next = ctx_.routing->tree()->ChildToward(ctx_.site, origin_site);
-  ctx_.net->Post(ctx_.site, next, ProtocolMessage(std::move(special)));
+runtime::Co<void> BackEdgeEngine::HandleBackedgeStart(BackedgeStart start) {
+  bool executed = false;
+  if (tombstones_.count(start.origin) == 0) {
+    executed =
+        co_await ExecuteProxy(start.origin, start.origin_site, start.writes);
+  }
+  if (executed) {
+    // §4.1 step 2: relay the special secondary subtransaction down the
+    // tree toward the origin.
+    SecondaryUpdate special;
+    special.origin = start.origin;
+    special.writes = start.writes;
+    special.is_special = true;
+    special.origin_site = start.origin_site;
+    special.origin_commit_time = start.primary_done_time;
+    SiteId next =
+        ctx_.routing->tree()->ChildToward(ctx_.site, start.origin_site);
+    ctx_.net->Post(ctx_.site, next, ProtocolMessage(std::move(special)));
+  }
   --active_handlers_;
 }
 
-runtime::Co<void> BackEdgeEngine::Applier() {
-  for (;;) {
-    SecondaryArrival arrival = co_await inbox_.Receive();
-    SecondaryUpdate& update = arrival.update;
-    // Crashed sites stop consuming their (durable) forward queue until
-    // recovery completes (docs/FAULTS.md).
-    co_await AwaitSiteUp();
-    applying_ = true;
-    if (update.is_special) {
-      // Specials commit through the 2PC at the origin, always with a
-      // per-commit sync; one closing a batch still seals any deferred
-      // lazy-path syncs.
-      if (GroupCommit() && arrival.batch_end) ctx_.db->SyncWal();
-      if (update.origin_site == ctx_.site) {
-        co_await CommitPendingPrimary(std::move(update));
-      } else {
-        co_await ExecuteSpecialLocally(std::move(update));
-      }
-    } else {
-      // Normal DAG(WT) secondary: apply, commit in FIFO order, forward
-      // atomically with commit.
-      storage::TxnPtr txn =
-          ctx_.db->Begin(update.origin, storage::TxnKind::kSecondary);
-      bool applied_any = false;
-      bool ok = co_await ApplySecondaryWrites(txn, update.writes,
-                                              &applied_any);
-      LAZYREP_CHECK(ok) << "secondary subtransactions are never aborted";
-      Status st = co_await ctx_.db->Commit(
-          txn, [&](int64_t) { ForwardToRelevantChildren(update); },
-          /*defer_wal_sync=*/GroupCommit() && !arrival.batch_end);
-      LAZYREP_CHECK(st.ok()) << st.ToString();
-      ++secondaries_committed_;
-      if (update.origin_commit_seq != 0) {
-        ctx_.db->NoteOriginApplied(update.origin_site,
-                                   update.origin_commit_seq);
-      }
-      if (applied_any) {
-        ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
-      }
-    }
-    applying_ = false;
+runtime::Co<void> BackEdgeEngine::ApplySpecial(SecondaryArrival arrival) {
+  // Specials commit through the 2PC at the origin, always with a
+  // per-commit sync; one closing a batch still seals any deferred
+  // lazy-path syncs.
+  if (GroupCommit() && arrival.batch_end) ctx_.db->SyncWal();
+  if (arrival.update.origin_site == ctx_.site) {
+    co_await CommitPendingPrimary(std::move(arrival.update));
+  } else {
+    co_await ExecuteSpecialLocally(std::move(arrival.update));
   }
 }
 
 runtime::Co<void> BackEdgeEngine::ExecuteSpecialLocally(SecondaryUpdate update) {
-  if (tombstones_.count(update.origin) > 0) {
-    // The origin aborted; downstream sites were told directly. Drop.
+  // A tombstoned origin aborted; downstream sites were told directly.
+  if (tombstones_.count(update.origin) > 0) co_return;
+  if (!co_await ExecuteProxy(update.origin, update.origin_site,
+                             update.writes)) {
     co_return;
   }
-  storage::TxnPtr txn =
-      ctx_.db->Begin(update.origin, storage::TxnKind::kRemoteProxy);
-  txn->set_backedge_pending(true);
-  Proxy proxy;
-  proxy.txn = txn;
-  proxy.executing = true;
-  proxies_.emplace(update.origin, proxy);
-  GlobalTxnId origin = update.origin;
-  SiteId origin_site = update.origin_site;
-  txn->AddAbortHook([this, origin, origin_site] {
-    ctx_.net->Post(ctx_.site, origin_site,
-                   ProtocolMessage(BackedgeAbort{origin}));
-  });
-
-  bool applied_any = false;
-  bool ok = co_await ApplySecondaryWrites(txn, update.writes, &applied_any);
-  if (!ok) {
-    proxies_.erase(origin);
-    tombstones_.insert(origin);
-    co_await ctx_.db->Abort(txn);
-    co_return;
-  }
-  auto it = proxies_.find(origin);
-  LAZYREP_CHECK(it != proxies_.end());
-  it->second.executing = false;
-  it->second.applied_any = applied_any;
-
   // Forward without committing (§4.1 step 2); locks stay held until the
   // 2PC decision.
-  SiteId next = ctx_.routing->tree()->ChildToward(ctx_.site, origin_site);
+  SiteId next =
+      ctx_.routing->tree()->ChildToward(ctx_.site, update.origin_site);
   ctx_.net->Post(ctx_.site, next, ProtocolMessage(std::move(update)));
 }
 
@@ -325,20 +230,11 @@ runtime::Co<void> BackEdgeEngine::CommitPendingPrimary(SecondaryUpdate update) {
   std::vector<SiteId> path = pp.path_sites;
   std::shared_ptr<runtime::OneShot<bool>> outcome = pp.outcome;
   GlobalTxnId id = update.origin;
-  Status st = co_await ctx_.db->Commit(txn, [&](int64_t seq) {
-    SecondaryUpdate normal;
-    normal.origin = id;
-    normal.writes = writes;
-    normal.origin_site = ctx_.site;
-    normal.origin_commit_time = ctx_.rt->Now();
-    // RYW note (docs/MVCC.md): path sites committing via the 2PC special
-    // do not see this stamp — their applied tracker advances on later
-    // lazy updates from this origin; the floor wait is conservative.
-    if (ctx_.db->mvcc_enabled()) normal.origin_commit_seq = seq + 1;
-    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
-    // §4.1 step 4: descendants are updated lazily per DAG(WT).
-    ForwardToRelevantChildren(normal);
-  });
+  // RYW note (docs/MVCC.md): path sites committing via the 2PC special
+  // do not see the origin's commit stamp — their applied tracker advances
+  // on later lazy updates from this origin; the floor wait is
+  // conservative. §4.1 step 4: descendants are updated lazily per DAG(WT).
+  Status st = co_await CommitLazily(txn, id, writes);
   LAZYREP_CHECK(st.ok()) << st.ToString();
   TpcDecision decision;
   decision.origin = id;
@@ -434,27 +330,18 @@ void BackEdgeEngine::OnCrash() {
 }
 
 bool BackEdgeEngine::Quiescent() const {
-  return inbox_.empty() && !applying_ && pending_.empty() &&
-         proxies_.empty() && votes_.empty() && outstanding_acks_ == 0 &&
-         active_handlers_ == 0;
+  return DagWtEngine::Quiescent() && pending_.empty() && proxies_.empty() &&
+         votes_.empty() && outstanding_acks_ == 0 && active_handlers_ == 0;
 }
 
 void BackEdgeEngine::ExportObs() {
-  if (ctx_.obs == nullptr) return;
-  obs::Labels labels{{"site", std::to_string(ctx_.site)},
-                     {"protocol", "backedge"}};
+  DagWtEngine::ExportObs();
   ctx_.obs
-      ->GetCounter("lazyrep_engine_secondaries_committed_total", labels,
-                   "Secondary subtransactions committed")
-      ->Increment(secondaries_committed_);
-  ctx_.obs
-      ->GetCounter("lazyrep_engine_backedge_txns_total", labels,
+      ->GetCounter("lazyrep_engine_backedge_txns_total",
+                   {{"site", std::to_string(ctx_.site)},
+                    {"protocol", ObsProtocol()}},
                    "Primaries that took the eager backedge path")
       ->Increment(backedge_txns_);
-  ctx_.obs
-      ->GetGauge("lazyrep_engine_queue_peak", labels,
-                 "High watermark of the engine's FIFO apply queue(s)")
-      ->Set(static_cast<double>(inbox_peak_));
 }
 
 }  // namespace lazyrep::core

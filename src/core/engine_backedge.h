@@ -6,7 +6,7 @@
 #include <set>
 #include <vector>
 
-#include "core/engine.h"
+#include "core/engine_dag_wt.h"
 
 namespace lazyrep::core {
 
@@ -34,11 +34,14 @@ namespace lazyrep::core {
 /// Global deadlocks are broken by lock timeout with the paper's victim
 /// rule (Example 4.1): the backedge-pending transaction aborts, never the
 /// secondary subtransaction.
-class BackEdgeEngine : public ReplicationEngine {
+///
+/// Everything else is DAG(WT)'s, inherited: the forward queue and its
+/// applier (which hands specials to `ApplySpecial`), forwarding, and the
+/// lazy commit of step 4 and of transactions without backedge targets.
+class BackEdgeEngine : public DagWtEngine {
  public:
-  explicit BackEdgeEngine(Context ctx);
+  explicit BackEdgeEngine(Context ctx) : DagWtEngine(std::move(ctx)) {}
 
-  void Start() override;
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
@@ -50,9 +53,13 @@ class BackEdgeEngine : public ReplicationEngine {
   void OnCrash() override;
 
   uint64_t backedge_txns() const { return backedge_txns_; }
-  uint64_t secondaries_committed() const { return secondaries_committed_; }
 
   void ExportObs() override;
+
+ protected:
+  runtime::Co<void> ApplySpecial(SecondaryArrival arrival) override;
+  const char* ObsProtocol() const override { return "backedge"; }
+  bool StampsOriginCommitTime() const override { return true; }
 
  private:
   /// Origin-site state for a primary waiting on its special
@@ -78,8 +85,11 @@ class BackEdgeEngine : public ReplicationEngine {
     std::shared_ptr<runtime::Event> done;
   };
 
-  void ForwardToRelevantChildren(const SecondaryUpdate& update);
-  runtime::Co<void> Applier();
+  /// Runs a backedge subtransaction proxy for `origin` at this path
+  /// site: applies `writes` and keeps the locks for the 2PC decision.
+  /// False when the proxy was victimized (and rolled back) on the way.
+  runtime::Co<bool> ExecuteProxy(GlobalTxnId origin, SiteId origin_site,
+                                 const std::vector<WriteRecord>& writes);
   runtime::Co<void> HandleBackedgeStart(BackedgeStart start);
   /// Executes the special at an intermediate/target path site, then
   /// forwards it toward the origin.
@@ -98,8 +108,6 @@ class BackEdgeEngine : public ReplicationEngine {
   runtime::Co<Status> AbortPendingPrimary(GlobalTxnId id,
                                       PendingPrimary pending);
 
-  runtime::Mailbox<SecondaryArrival> inbox_;  // From the tree parent.
-  bool applying_ = false;
   std::map<GlobalTxnId, PendingPrimary> pending_;
   std::map<GlobalTxnId, Proxy> proxies_;
   std::map<GlobalTxnId, VoteState> votes_;
@@ -108,10 +116,6 @@ class BackEdgeEngine : public ReplicationEngine {
   int outstanding_acks_ = 0;
   int active_handlers_ = 0;
   uint64_t backedge_txns_ = 0;
-  uint64_t secondaries_committed_ = 0;
-  /// High watermark of the forward-queue length (machine-confined;
-  /// exported at quiescence).
-  size_t inbox_peak_ = 0;
 };
 
 }  // namespace lazyrep::core

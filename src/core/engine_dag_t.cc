@@ -35,29 +35,16 @@ runtime::Co<Status> DagTEngine::ExecutePrimary(GlobalTxnId id,
                                            const workload::TxnSpec& spec) {
   storage::TxnPtr txn = ctx_.db->Begin(id, storage::TxnKind::kPrimary);
   std::vector<WriteRecord> writes;
-  Status st = co_await RunLocalTxn(txn, spec, &writes);
+  Status st = co_await RunPrimaryAtHome(txn, spec, &writes);
   if (!st.ok()) co_return st;
-  // Hop to the home lane: LTS/site-timestamp state and the commit order
-  // are home-lane-confined (no-op under kSim and when the transaction
-  // already ran there).
-  co_await ctx_.rt->RunOn(ctx_.machine);
-  if (txn->abort_requested()) {
-    co_await ctx_.db->Abort(txn);
-    co_return txn->abort_reason();
-  }
   st = co_await ctx_.db->Commit(txn, [&](int64_t seq) {
     // §3.2.2, atomically with commit: bump LTS, stamp the transaction
     // with the site timestamp, schedule secondaries at relevant children.
     ++lts_;
     site_ts_.BumpOwnLts();
     if (writes.empty()) return;
-    SecondaryUpdate update;
-    update.origin = id;
-    update.writes = writes;
+    SecondaryUpdate update = OriginUpdate(id, writes, seq);
     update.ts = site_ts_;
-    update.origin_site = ctx_.site;
-    if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
     for (SiteId child :
          ctx_.routing->RelevantCopyChildren(ctx_.site, writes)) {
       PostToChild(child, update);
@@ -126,28 +113,10 @@ runtime::Co<void> DagTEngine::Applier() {
     }
     applying_real_ = true;
     --pending_real_;
-    storage::TxnPtr txn =
-        ctx_.db->Begin(update.origin, storage::TxnKind::kSecondary);
-    bool applied_any = false;
-    bool ok = co_await ApplySecondaryWrites(txn, update.writes,
-                                            &applied_any);
-    LAZYREP_CHECK(ok) << "secondary subtransactions are never aborted";
-    Status st = co_await ctx_.db->Commit(
-        txn,
-        [&](int64_t) {
-          // §3.2.3: TS(s) := TS(T) ⊕ (s, LTS_s), atomically with commit.
-          site_ts_ = update.ts.ExtendedWith(Rank(), lts_, update.ts.epoch());
-        },
-        /*defer_wal_sync=*/GroupCommit() && !arrival.batch_end);
-    LAZYREP_CHECK(st.ok()) << st.ToString();
-    ++secondaries_committed_;
-    if (update.origin_commit_seq != 0) {
-      ctx_.db->NoteOriginApplied(update.origin_site,
-                                 update.origin_commit_seq);
-    }
-    if (applied_any) {
-      ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
-    }
+    co_await ApplySecondary(arrival, [&](int64_t) {
+      // §3.2.3: TS(s) := TS(T) ⊕ (s, LTS_s), atomically with commit.
+      site_ts_ = update.ts.ExtendedWith(Rank(), lts_, update.ts.epoch());
+    });
     applying_real_ = false;
   }
 }
@@ -161,13 +130,7 @@ runtime::Co<void> DagTEngine::EpochTicker() {
 }
 
 void DagTEngine::ExportObs() {
-  if (ctx_.obs == nullptr) return;
-  obs::Labels labels{{"site", std::to_string(ctx_.site)},
-                     {"protocol", "dag_t"}};
-  ctx_.obs
-      ->GetCounter("lazyrep_engine_secondaries_committed_total", labels,
-                   "Secondary subtransactions committed")
-      ->Increment(secondaries_committed_);
+  obs::Labels labels = ExportApplierObs("dag_t", queue_peak_);
   ctx_.obs
       ->GetCounter("lazyrep_engine_dummies_sent_total", labels,
                    "DAG(T) liveness dummy subtransactions sent")
@@ -176,10 +139,6 @@ void DagTEngine::ExportObs() {
       ->GetCounter("lazyrep_engine_epoch_bumps_total", labels,
                    "DAG(T) epoch advances at this source")
       ->Increment(epoch_bumps_);
-  ctx_.obs
-      ->GetGauge("lazyrep_engine_queue_peak", labels,
-                 "High watermark of the engine's FIFO apply queue(s)")
-      ->Set(static_cast<double>(queue_peak_));
 }
 
 runtime::Co<void> DagTEngine::DummySender() {

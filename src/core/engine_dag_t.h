@@ -40,7 +40,6 @@ class DagTEngine : public ReplicationEngine {
 
   const Timestamp& site_timestamp() const { return site_ts_; }
   uint64_t dummies_sent() const { return dummies_sent_; }
-  uint64_t secondaries_committed() const { return secondaries_committed_; }
   uint64_t epoch_bumps() const { return epoch_bumps_; }
 
   void ExportObs() override;
@@ -70,7 +69,6 @@ class DagTEngine : public ReplicationEngine {
   int64_t pending_real_ = 0;
   std::map<SiteId, SimTime> last_sent_;
   uint64_t dummies_sent_ = 0;
-  uint64_t secondaries_committed_ = 0;
   uint64_t epoch_bumps_ = 0;
   /// High watermark over the per-parent queue lengths (machine-confined;
   /// exported at quiescence).

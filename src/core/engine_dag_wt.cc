@@ -64,86 +64,55 @@ runtime::Co<Status> DagWtEngine::ExecutePrimary(GlobalTxnId id,
                                             const workload::TxnSpec& spec) {
   storage::TxnPtr txn = ctx_.db->Begin(id, storage::TxnKind::kPrimary);
   std::vector<WriteRecord> writes;
-  Status st = co_await RunLocalTxn(txn, spec, &writes);
+  Status st = co_await RunPrimaryAtHome(txn, spec, &writes);
   if (!st.ok()) co_return st;
-  // Hop to the home lane: commit order, the forwarding hook, and the
-  // batch buffers it may touch are home-lane-confined (no-op under kSim
-  // and when the transaction already ran there).
-  co_await ctx_.rt->RunOn(ctx_.machine);
-  if (txn->abort_requested()) {
-    co_await ctx_.db->Abort(txn);
-    co_return txn->abort_reason();
-  }
-  st = co_await ctx_.db->Commit(txn, [&](int64_t seq) {
+  co_return co_await CommitLazily(txn, id, writes);
+}
+
+runtime::Co<Status> DagWtEngine::CommitLazily(
+    storage::TxnPtr txn, GlobalTxnId id,
+    const std::vector<WriteRecord>& writes) {
+  co_return co_await ctx_.db->Commit(txn, [&](int64_t seq) {
     if (writes.empty()) return;
-    SecondaryUpdate update;
-    update.origin = id;
-    update.writes = writes;
-    update.origin_site = ctx_.site;
-    // MVCC levels only: carry the origin's commit stamp so downstream
-    // appliers can advance their per-origin applied tracker (RYW).
-    if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
-    ForwardToRelevantChildren(update);
+    ForwardToRelevantChildren(OriginUpdate(id, writes, seq));
   });
-  co_return st;
 }
 
 void DagWtEngine::OnMessage(ProtocolNetwork::Envelope env) {
   LAZYREP_CHECK_EQ(env.src, ctx_.routing->tree()->Parent(ctx_.site))
-      << "DAG(WT) receives only from its tree parent";
+      << "tree propagation receives only from its tree parent";
   UnpackSecondaryEnvelope(std::move(env), [this](SecondaryArrival arrival) {
     inbox_.Send(std::move(arrival));
   });
   inbox_peak_ = std::max(inbox_peak_, inbox_.size());
 }
 
-void DagWtEngine::ExportObs() {
-  if (ctx_.obs == nullptr) return;
-  obs::Labels labels{{"site", std::to_string(ctx_.site)},
-                     {"protocol", "dag_wt"}};
-  ctx_.obs
-      ->GetCounter("lazyrep_engine_secondaries_committed_total", labels,
-                   "Secondary subtransactions committed")
-      ->Increment(secondaries_committed_);
-  ctx_.obs
-      ->GetGauge("lazyrep_engine_queue_peak", labels,
-                 "High watermark of the engine's FIFO apply queue(s)")
-      ->Set(static_cast<double>(inbox_peak_));
-}
+void DagWtEngine::ExportObs() { ExportApplierObs(ObsProtocol(), inbox_peak_); }
 
 runtime::Co<void> DagWtEngine::Applier() {
   for (;;) {
     SecondaryArrival arrival = co_await inbox_.Receive();
-    SecondaryUpdate& update = arrival.update;
     // Under fault injection a crashed site stops consuming its (durable)
     // forward queue until recovery completes; an update already being
     // applied rides through the crash as part of the restart redo
     // (docs/FAULTS.md).
     co_await AwaitSiteUp();
     applying_ = true;
-    storage::TxnPtr txn =
-        ctx_.db->Begin(update.origin, storage::TxnKind::kSecondary);
-    bool applied_any = false;
-    bool ok = co_await ApplySecondaryWrites(txn, update.writes,
-                                            &applied_any);
-    LAZYREP_CHECK(ok) << "secondary subtransactions are never aborted";
-    // Group commit: mid-batch commits defer the WAL sync; the batch's
-    // last commit syncs and seals them all (the boundary is cumulative).
-    Status st = co_await ctx_.db->Commit(
-        txn, [&](int64_t) { ForwardToRelevantChildren(update); },
-        /*defer_wal_sync=*/GroupCommit() && !arrival.batch_end);
-    LAZYREP_CHECK(st.ok()) << st.ToString();
-    ++secondaries_committed_;
-    if (update.origin_commit_seq != 0) {
-      ctx_.db->NoteOriginApplied(update.origin_site,
-                                 update.origin_commit_seq);
-    }
-    if (applied_any) {
-      ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
+    if (arrival.update.is_special) {
+      co_await ApplySpecial(std::move(arrival));
+    } else {
+      // Commit in FIFO order, forwarding atomically with the commit.
+      co_await ApplySecondary(arrival, [&](int64_t) {
+        ForwardToRelevantChildren(arrival.update);
+      });
     }
     applying_ = false;
   }
+}
+
+runtime::Co<void> DagWtEngine::ApplySpecial(SecondaryArrival) {
+  LAZYREP_CHECK(false) << "DAG(WT) has no special subtransactions";
+  co_return;
 }
 
 bool DagWtEngine::Quiescent() const {

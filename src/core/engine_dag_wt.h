@@ -33,26 +33,37 @@ class DagWtEngine : public ReplicationEngine {
   void OnMessage(ProtocolNetwork::Envelope env) override;
   bool Quiescent() const override;
 
-  uint64_t secondaries_committed() const { return secondaries_committed_; }
-
   void BeginShutdown() override;
   void ExportObs() override;
 
- private:
+ protected:
+  /// Commits a primary that needs no eager work and propagates it
+  /// lazily: the origin's update goes to the relevant tree children
+  /// atomically with the commit.
+  runtime::Co<Status> CommitLazily(storage::TxnPtr txn, GlobalTxnId id,
+                                   const std::vector<WriteRecord>& writes);
+
   /// Posts `update` to every relevant tree child of this site (or
   /// buffers it per child when the batching extension is on). Called
   /// inside commit atomic hooks so forwarding order equals commit order.
   void ForwardToRelevantChildren(const SecondaryUpdate& update);
 
+  /// Applier hook for a special secondary subtransaction (BackEdge's
+  /// eager path, §4.1); DAG(WT) itself never receives one.
+  virtual runtime::Co<void> ApplySpecial(SecondaryArrival arrival);
+
+  /// Protocol label of the exported obs cells.
+  virtual const char* ObsProtocol() const { return "dag_wt"; }
+
+ private:
   /// Ships each non-empty per-child buffer as one message.
   void FlushBatches();
 
   runtime::Co<void> Applier();
   runtime::Co<void> BatchFlusher();
 
-  runtime::Mailbox<SecondaryArrival> inbox_;
+  runtime::Mailbox<SecondaryArrival> inbox_;  // From the tree parent.
   bool applying_ = false;
-  uint64_t secondaries_committed_ = 0;
   /// High watermark of the forward-queue length (machine-confined;
   /// exported at quiescence).
   size_t inbox_peak_ = 0;

@@ -15,26 +15,11 @@ runtime::Co<Status> NaiveLazyEngine::ExecutePrimary(
     GlobalTxnId id, const workload::TxnSpec& spec) {
   storage::TxnPtr txn = ctx_.db->Begin(id, storage::TxnKind::kPrimary);
   std::vector<WriteRecord> writes;
-  Status st = co_await RunLocalTxn(txn, spec, &writes);
+  Status st = co_await RunPrimaryAtHome(txn, spec, &writes);
   if (!st.ok()) co_return st;
-  // Hop to the home lane: the commit order and the posts made from the
-  // atomic hook are home-lane-confined (no-op under kSim and when the
-  // transaction already ran there). A victimization landing during the
-  // hop must be honoured before Commit.
-  co_await ctx_.rt->RunOn(ctx_.machine);
-  if (txn->abort_requested()) {
-    co_await ctx_.db->Abort(txn);
-    co_return txn->abort_reason();
-  }
   st = co_await ctx_.db->Commit(txn, [&](int64_t seq) {
     if (writes.empty()) return;
-    SecondaryUpdate update;
-    update.origin = id;
-    update.writes = writes;
-    update.origin_site = ctx_.site;
-    update.origin_commit_time = ctx_.rt->Now();
-    if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-    RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
+    SecondaryUpdate update = OriginUpdate(id, writes, seq);
     // Indiscriminate: straight to every replica holder.
     for (SiteId child :
          ctx_.routing->RelevantCopyChildren(ctx_.site, writes)) {
@@ -81,13 +66,7 @@ runtime::Co<void> NaiveLazyEngine::Applier() {
     Status st = co_await ctx_.db->Commit(
         txn, nullptr, /*defer_wal_sync=*/GroupCommit() && !arrival.batch_end);
     LAZYREP_CHECK(st.ok()) << st.ToString();
-    if (update.origin_commit_seq != 0) {
-      ctx_.db->NoteOriginApplied(update.origin_site,
-                                 update.origin_commit_seq);
-    }
-    if (applied_any || lww) {
-      ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
-    }
+    NoteSecondaryCommitted(update, applied_any || lww);
     if (!applied_any && ctx_.oracle != nullptr) {
       // Every write lost to a later version: the record came out empty.
       ctx_.oracle->WithdrawRecord(update.origin);

@@ -31,6 +31,10 @@ class NaiveLazyEngine : public ReplicationEngine {
 
   uint64_t lww_skipped() const { return lww_skipped_; }
 
+ protected:
+  /// The LWW reconciliation rule compares origin commit times.
+  bool StampsOriginCommitTime() const override { return true; }
+
  private:
   runtime::Co<void> Applier();
 

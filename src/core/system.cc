@@ -587,17 +587,24 @@ runtime::Co<void> System::Worker(SiteId site, int exec, Rng rng) {
   workers_done_.Done();
 }
 
-bool System::AllQuiescent() const {
+bool System::AllQuiescent() {
   if (metrics_.pending_propagations() > 0) return false;
   if (crashes_outstanding_.load(std::memory_order_acquire) != 0) {
     return false;
   }
   if (injector_ != nullptr && !injector_->AllUp()) return false;
   if (transport_ != nullptr && !transport_->Quiescent()) return false;
-  for (const auto& engine : engines_) {
-    if (!engine->Quiescent()) return false;
+  if (!runtime_->concurrent()) {
+    for (const auto& engine : engines_) {
+      if (!engine->Quiescent()) return false;
+    }
+    return true;
   }
-  return true;
+  std::atomic<bool> all{true};
+  OnEachSiteBlocking([this, &all](SiteId s) {
+    if (!engines_[s]->Quiescent()) all.store(false, std::memory_order_relaxed);
+  });
+  return all.load();
 }
 
 runtime::Co<void> System::QuiesceAndShutdown() {
@@ -727,7 +734,7 @@ void System::RunThreads() {
     timed_out_ = true;
   } else {
     workload_elapsed_ = runtime_->Now();
-    while (!ThreadsQuiescent() && !timed_out_) {
+    while (!AllQuiescent() && !timed_out_) {
       if (past_deadline()) {
         timed_out_ = true;
         break;
@@ -741,7 +748,7 @@ void System::RunThreads() {
       // let the flushed messages drain as well.
       OnEachSiteBlocking([this](SiteId s) { engines_[s]->BeginShutdown(); });
       if (transport_ != nullptr) transport_->BeginShutdown();
-      while (!ThreadsQuiescent() && !timed_out_) {
+      while (!AllQuiescent() && !timed_out_) {
         if (past_deadline()) {
           timed_out_ = true;
           break;
@@ -754,20 +761,6 @@ void System::RunThreads() {
   // Join the executors before metrics/verdicts: everything below runs
   // single-threaded over frozen state.
   runtime_->Shutdown();
-}
-
-bool System::ThreadsQuiescent() {
-  if (metrics_.pending_propagations() > 0) return false;
-  if (crashes_outstanding_.load(std::memory_order_acquire) != 0) {
-    return false;
-  }
-  if (injector_ != nullptr && !injector_->AllUp()) return false;
-  if (transport_ != nullptr && !transport_->Quiescent()) return false;
-  std::atomic<bool> all{true};
-  OnEachSiteBlocking([this, &all](SiteId s) {
-    if (!engines_[s]->Quiescent()) all.store(false, std::memory_order_relaxed);
-  });
-  return all.load();
 }
 
 void System::OnEachSiteBlocking(const std::function<void(SiteId)>& fn) {

@@ -164,7 +164,11 @@ class System {
 
   Status Build();
   void EnsureStarted();
-  bool AllQuiescent() const;
+  /// No pending propagation, crash recovery, downed site, transport
+  /// work or engine work. Under the thread backend each engine is asked
+  /// on its home lane (engine state is lane-confined), so callers must
+  /// not run on an executor.
+  bool AllQuiescent();
   /// Crash/recovery lifecycle of one `CrashEvent`, run on the crashed
   /// site's machine: mark the site down, resolve its volatile
   /// transactions, wait out the outage, rebuild the store from the WAL,
@@ -178,9 +182,6 @@ class System {
   runtime::Co<void> QuiesceAndShutdown();
   void RunSim();
   void RunThreads();
-  /// Thread backend: evaluates quiescence with each engine inspected on
-  /// its own machine (engine state is thread-confined).
-  bool ThreadsQuiescent();
   /// Thread backend: runs `fn(site)` for every site on that site's home
   /// lane and blocks until all sites finished.
   void OnEachSiteBlocking(const std::function<void(SiteId)>& fn);

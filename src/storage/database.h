@@ -20,8 +20,6 @@
 
 namespace lazyrep::storage {
 
-using TxnPtr = std::shared_ptr<Transaction>;
-
 /// CPU cost of storage operations (charged to the site's machine CPU).
 struct OpCosts {
   Duration read_cpu = Micros(100);

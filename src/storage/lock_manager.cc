@@ -33,9 +33,10 @@ bool LockManager::Holds(const Transaction* txn, ItemId item,
   return HoldsLocked(it->second, txn, mode);
 }
 
-std::vector<Transaction*> LockManager::BlockingHolders(
-    const Transaction* txn, ItemId item, LockMode mode) const {
-  std::vector<Transaction*> out;
+std::vector<TxnPtr> LockManager::BlockingHolders(const Transaction* txn,
+                                                 ItemId item,
+                                                 LockMode mode) const {
+  std::vector<TxnPtr> out;
   Stripe& stripe = StripeFor(item);
   std::lock_guard<std::mutex> lock(stripe.mu);
   auto it = stripe.table.find(item);
@@ -43,7 +44,9 @@ std::vector<Transaction*> LockManager::BlockingHolders(
   for (const auto& [holder, held_mode] : it->second.holders) {
     if (holder == txn) continue;
     if (!Compatible(held_mode, mode) || !Compatible(mode, held_mode)) {
-      out.push_back(holder);
+      // Taken under the stripe mutex: a holder in the table has not yet
+      // released, so its owner still references it.
+      out.push_back(holder->shared_from_this());
     }
   }
   return out;
@@ -344,12 +347,12 @@ void LockManager::DetectAndResolve(Transaction* waiter_txn) {
   // Iterative DFS with explicit stack of (txn, next-blocker-index).
   struct Frame {
     Transaction* txn;
-    std::vector<Transaction*> blockers;
+    std::vector<TxnPtr> blockers;
     size_t next = 0;
   };
   std::vector<Frame> stack;
 
-  auto blockers_of = [this](Transaction* t) -> std::vector<Transaction*> {
+  auto blockers_of = [this](Transaction* t) -> std::vector<TxnPtr> {
     ItemId item;
     LockMode mode;
     {
@@ -375,7 +378,7 @@ void LockManager::DetectAndResolve(Transaction* waiter_txn) {
       stack.pop_back();
       continue;
     }
-    Transaction* next = f.blockers[f.next++];
+    Transaction* next = f.blockers[f.next++].get();
     if (on_path.count(next)) {
       // Cycle: everything on the path from `next` onward.
       std::vector<Transaction*> cycle;

@@ -197,10 +197,11 @@ class LockManager {
 
   /// Holders whose lock on `item` conflicts with a `mode` request by
   /// `txn`. This is what the BackEdge victim rule inspects after a
-  /// timeout.
-  std::vector<Transaction*> BlockingHolders(const Transaction* txn,
-                                            ItemId item,
-                                            LockMode mode) const;
+  /// timeout. Each comes with a reference that keeps it alive: with
+  /// several worker lanes a holder may finish and be dropped on another
+  /// lane as soon as the stripe mutex is released.
+  std::vector<TxnPtr> BlockingHolders(const Transaction* txn, ItemId item,
+                                      LockMode mode) const;
 
   /// Number of locks held by `txn`.
   size_t HeldCount(const Transaction* txn) const;

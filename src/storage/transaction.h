@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <functional>
 #include <map>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <string>
@@ -39,7 +40,9 @@ enum class TxnState { kActive, kCommitted, kAborted };
 /// bookkeeping in the Database.
 ///
 /// Transactions are created by `Database::Begin` and owned by the
-/// Database until `Commit`/`Abort` completes.
+/// Database until `Commit`/`Abort` completes. They are always
+/// shared-owned (`TxnPtr`), so the lock table can hand a holder out
+/// with a reference that keeps it alive (`LockManager::BlockingHolders`).
 ///
 /// Concurrency: with multi-worker sites the abort flags and lifecycle
 /// bits are read and written across worker lanes (a wait-die victim is
@@ -48,7 +51,7 @@ enum class TxnState { kActive, kCommitted, kAborted };
 /// The read/write/undo bookkeeping stays unsynchronized: it is only
 /// touched by the single coroutine driving the transaction (plus the
 /// checkers at quiescence).
-class Transaction {
+class Transaction : public std::enable_shared_from_this<Transaction> {
  public:
   Transaction(GlobalTxnId id, TxnKind kind, SimTime start_time,
               int64_t arrival_seq)
@@ -199,6 +202,8 @@ class Transaction {
   std::map<ItemId, Value> writes_final_;
   std::vector<UndoEntry> undo_log_;
 };
+
+using TxnPtr = std::shared_ptr<Transaction>;
 
 }  // namespace lazyrep::storage
 

@@ -31,7 +31,9 @@ using fault::FaultPlan;
 using runtime::RuntimeKind;
 
 // See the dilation note in fault_test.cc: the threads chaos tier is
-// paced in real time and TSan slows the executors ~10x.
+// paced in real time and TSan slows the executors ~10x. The coalescing
+// window stretches with them, or an undilated window rarely catches two
+// frames and nothing batches.
 #if defined(__has_feature)
 #if __has_feature(thread_sanitizer) && !defined(__SANITIZE_THREAD__)
 #define __SANITIZE_THREAD__ 1
@@ -53,6 +55,7 @@ core::SystemConfig BatchedConfig(Protocol protocol, RuntimeKind kind,
   if (protocol != Protocol::kBackEdge) {
     config.workload.backedge_prob = 0.0;  // DAG protocols need a DAG.
   }
+  config.batching.window = Millis(2);
   if (kind == RuntimeKind::kSim) {
     config.workload.txns_per_thread = 40;
   } else {
@@ -61,8 +64,10 @@ core::SystemConfig BatchedConfig(Protocol protocol, RuntimeKind kind,
     config.workload.deadlock_timeout *= d;
     config.engine.epoch_period *= d;
     config.engine.dummy_period *= d;
+    // ack_delay stays undilated: it must stay below the transport's
+    // 10 ms rto_initial.
+    config.batching.window *= d;
   }
-  config.batching.window = Millis(2);
   config.batching.piggyback_acks = true;
   config.batching.wal_group_commit = true;
   return config;

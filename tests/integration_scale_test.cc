@@ -54,6 +54,42 @@ INSTANTIATE_TEST_SUITE_P(
       return name;
     });
 
+// §4.1: a BackEdge transaction without backedge subtransactions runs
+// exactly as in DAG(WT). With no backedges at all the two protocols must
+// produce the same schedule. Only the wire bytes may differ (BackEdge's
+// lazy updates also carry the origin's commit time), so the bandwidth
+// model, which would turn extra bytes into extra delay, is off.
+TEST(PaperScaleExtras, BackEdgeWithoutBackedgesRunsExactlyAsDagWt) {
+  auto run = [](Protocol protocol, uint64_t seed) {
+    SystemConfig config = harness::PaperConfig(protocol);
+    config.workload.txns_per_thread = 40;
+    config.workload.backedge_prob = 0.0;
+    config.costs.net_bandwidth_bytes_per_sec = 0;
+    config.seed = seed;
+    auto system = System::Create(std::move(config));
+    LAZYREP_CHECK(system.ok()) << system.status().ToString();
+    return (*system)->Run();
+  };
+  for (uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    const RunMetrics dag_wt = run(Protocol::kDagWt, seed);
+    const RunMetrics backedge = run(Protocol::kBackEdge, seed);
+    EXPECT_EQ(backedge.committed, dag_wt.committed);
+    EXPECT_EQ(backedge.aborted, dag_wt.aborted);
+    EXPECT_EQ(backedge.messages, dag_wt.messages);
+    EXPECT_EQ(backedge.workload_elapsed, dag_wt.workload_elapsed);
+    EXPECT_EQ(backedge.drain_elapsed, dag_wt.drain_elapsed);
+    EXPECT_EQ(backedge.lock_waits, dag_wt.lock_waits);
+    EXPECT_EQ(backedge.lock_timeouts, dag_wt.lock_timeouts);
+    EXPECT_EQ(backedge.response_ms.mean(), dag_wt.response_ms.mean());
+    EXPECT_EQ(backedge.propagation_delay_ms.mean(),
+              dag_wt.propagation_delay_ms.mean());
+    EXPECT_EQ(backedge.serializable, dag_wt.serializable);
+    EXPECT_EQ(backedge.verdict, dag_wt.verdict);
+    EXPECT_GT(dag_wt.committed, 0);
+  }
+}
+
 TEST(PaperScaleExtras, BatchedDagWtAtScale) {
   SystemConfig config = harness::PaperConfig(Protocol::kDagWt);
   config.workload.txns_per_thread = 100;

@@ -339,6 +339,17 @@ TEST_F(LockFixture, BlockingHoldersReportsConflictingTransactions) {
   // S request conflicts with nobody here.
   EXPECT_TRUE(
       locks_.BlockingHolders(t3.get(), 5, LockMode::kShared).empty());
+  // A blocker may finish, and its owner drop it, right after the call
+  // (another worker lane, in a multi-worker site). What the call returned
+  // must stay readable: victim selection inspects it next.
+  const GlobalTxnId first = t1->id();
+  locks_.ReleaseAll(t1.get());
+  t1.reset();
+  bool found = false;
+  for (const auto& blocker : blockers) {
+    if (blocker->id() == first) found = blocker->CanBeVictim();
+  }
+  EXPECT_TRUE(found);
 }
 
 TEST(LockDetectionTest, LocalCycleIsDetectedAndVictimAborted) {
