@@ -20,10 +20,9 @@ namespace lazyrep::core {
 /// local commit order is a serialization order of the site's schedule —
 /// exactly the premise the paper's correctness arguments build on.
 ///
-/// A `System` keeps records only on sim runs, where the quiescence
-/// checkers below give the golden verdicts, and on traced runs; an
-/// untraced threads run is checked by the `StreamingOracle` alone
-/// (docs/CHECKING.md).
+/// A `System` keeps records only on traced runs. Its verdicts come from
+/// the `StreamingOracle`; the quiescence checkers below are the
+/// reference the tests hold it to (docs/CHECKING.md).
 class HistoryRecorder : public storage::HistoryObserver {
  public:
   /// One committed (sub)transaction. Access sets are sorted, duplicate-

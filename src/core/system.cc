@@ -26,41 +26,6 @@ int ComputeNumMachines(const workload::Params& params) {
          params.sites_per_machine;
 }
 
-/// CHECKs that the streaming oracle reached the quiescence checkers'
-/// verdicts, with the same counts. `snaps` is null below snapshot level.
-void CheckOracleAgrees(StreamingOracle& oracle,
-                       const SerializabilityVerdict& verdict,
-                       const ReadConsistencyVerdict& reads,
-                       const SnapshotConsistencyVerdict* snaps) {
-  const SerializabilityVerdict streamed = oracle.Serializability();
-  LAZYREP_CHECK(streamed.serializable == verdict.serializable &&
-                streamed.nodes == verdict.nodes &&
-                streamed.edges == verdict.edges)
-      << "streaming oracle: " << streamed.ToString() << " ("
-      << streamed.nodes << " txns, " << streamed.edges
-      << " edges); quiescence checker: " << verdict.ToString();
-  const ReadConsistencyVerdict streamed_reads = oracle.ReadConsistency();
-  LAZYREP_CHECK(streamed_reads.consistent == reads.consistent &&
-                streamed_reads.reads_checked == reads.reads_checked)
-      << "streaming oracle: reads consistent=" << streamed_reads.consistent
-      << " over " << streamed_reads.reads_checked
-      << "; quiescence checker: consistent=" << reads.consistent << " over "
-      << reads.reads_checked;
-  if (snaps == nullptr) return;
-  const SnapshotConsistencyVerdict streamed_snaps =
-      oracle.SnapshotConsistency();
-  LAZYREP_CHECK(streamed_snaps.consistent == snaps->consistent &&
-                streamed_snaps.snapshots_checked == snaps->snapshots_checked &&
-                streamed_snaps.reads_checked == snaps->reads_checked)
-      << "streaming oracle: snapshots consistent="
-      << streamed_snaps.consistent << " over "
-      << streamed_snaps.snapshots_checked << " ("
-      << streamed_snaps.reads_checked
-      << " reads); quiescence checker: consistent=" << snaps->consistent
-      << " over " << snaps->snapshots_checked << " (" << snaps->reads_checked
-      << " reads)";
-}
-
 }  // namespace
 
 /// Forwards commit/abort notifications to the streaming oracle (when
@@ -855,22 +820,9 @@ RunMetrics System::CollectMetrics() const {
     if (!timed_out_) oracle_->CheckDrained();
     const bool snapshot_level =
         config_.consistency != storage::ConsistencyLevel::kSerializable;
-    SerializabilityVerdict verdict;
-    ReadConsistencyVerdict reads;
-    SnapshotConsistencyVerdict snaps;
-    if (KeepsHistory()) {
-      // The quiescence verdicts stay the reported ones (their strings are
-      // the golden output); the streaming oracle must agree with them.
-      verdict = CheckSerializability(history_);
-      reads = CheckReadConsistency(history_);
-      if (snapshot_level) snaps = CheckSnapshotConsistency(history_);
-      CheckOracleAgrees(*oracle_, verdict, reads,
-                        snapshot_level ? &snaps : nullptr);
-    } else {
-      verdict = oracle_->Serializability();
-      reads = oracle_->ReadConsistency();
-      snaps = oracle_->SnapshotConsistency();
-    }
+    const SerializabilityVerdict verdict = oracle_->Serializability();
+    const ReadConsistencyVerdict reads = oracle_->ReadConsistency();
+    const SnapshotConsistencyVerdict snaps = oracle_->SnapshotConsistency();
     out.serializable = verdict.serializable;
     out.verdict = verdict.ToString();
     out.reads_consistent = reads.consistent;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/check.h"
 #include "common/result.h"
 #include "core/engine.h"
 #include "core/history.h"
@@ -111,17 +112,14 @@ class System {
   storage::Database& database(SiteId site) { return *databases_[site]; }
   ReplicationEngine& engine(SiteId site) { return *engines_[site]; }
   const Routing& routing() const { return *routing_; }
-  /// The full history, kept only where it is read: on sim runs, whose
-  /// quiescence verdicts are the golden output, and on traced runs.
-  /// Empty on untraced threads runs, which the streaming oracle checks.
+  /// The full history, kept only on traced runs (lazybench's traced rep
+  /// replays it). Every verdict comes from `oracle()`, which needs none.
   const HistoryRecorder& history() const { return history_; }
   /// The streaming oracle; null unless `check_serializability` is set.
   StreamingOracle* oracle() { return oracle_.get(); }
-  /// True when `history()` records the run.
+  /// True when `history()` records the run: checked and traced.
   bool KeepsHistory() const {
-    return config_.check_serializability &&
-           (config_.runtime == runtime::RuntimeKind::kSim ||
-            config_.enable_trace);
+    return config_.check_serializability && config_.enable_trace;
   }
   /// Present when `SystemConfig::enable_trace` was set.
   const TraceLog* trace() const { return trace_.get(); }
@@ -143,13 +141,12 @@ class System {
   }
   const SystemConfig& config() const { return config_; }
 
-  /// The serializability verdict so far: the quiescence checker's over
-  /// `history()` where it is kept, else the streaming oracle's.
+  /// The streaming oracle's serializability verdict so far. CHECK-fails
+  /// on a run built with `check_serializability` off, which has none.
   SerializabilityVerdict CheckHistory() const {
-    if (oracle_ != nullptr && !KeepsHistory()) {
-      return oracle_->Serializability();
-    }
-    return CheckSerializability(history_);
+    LAZYREP_CHECK(oracle_ != nullptr)
+        << "CheckHistory: the run was built with check_serializability off";
+    return oracle_->Serializability();
   }
 
   /// True when every replica equals its primary copy. `require_applied`

@@ -15,9 +15,8 @@ namespace lazyrep::graph {
 /// (docs/SCALE.md). The paper evaluates m = 9 with the §5.2 randomized
 /// placement; these build structured 100+ site skeletons — the deep
 /// chains, d-ary trees, wide fans, and backedge-controlled random graphs
-/// of ROADMAP item 4 — with per-item *sharded* placements so each site
-/// holds only a keyspace fraction (partial replication à la Sutra &
-/// Shapiro).
+/// — with per-item *sharded* placements so each site holds only a
+/// keyspace fraction (partial replication à la Sutra & Shapiro).
 enum class TopologyKind {
   kChain,   // 0 -> 1 -> ... -> N-1 (depth N-1)
   kTree,    // d-ary heap-shaped tree rooted at 0

@@ -2,8 +2,9 @@
 //
 //  * The invariant oracle actually rejects — hand-built non-serializable
 //    histories (write skew, lost update, G1c write cycle) and stale
-//    reads must fail their checkers. A checker that accepts everything
-//    would make every lazychk sweep vacuously "clean".
+//    reads fed to the streaming oracle must fail its verdicts. A
+//    checker that accepts everything would make every lazychk sweep
+//    vacuously "clean".
 //  * Perturbed schedules really differ from the default, and replaying
 //    the same (seed, policy) pair is byte-for-bit identical — the
 //    property every lazychk violation report relies on.
@@ -21,15 +22,18 @@
 #include <gtest/gtest.h>
 
 #include "core/history.h"
+#include "core/streaming_oracle.h"
 #include "core/system.h"
 #include "harness/lazychk.h"
 #include "obs/prometheus.h"
+#include "random_history.h"
 
 namespace lazyrep {
 namespace {
 
 using core::HistoryRecorder;
 using core::Protocol;
+using core::scripted::FeedOracle;
 
 // ---------------------------------------------------------------------
 // Oracle validation: hand-built anomalies must be rejected.
@@ -57,13 +61,14 @@ HistoryRecorder::Record MakeRecord(SiteId site, SiteId origin_site,
 // before A (read-write edge B->A on y). The union has a cycle even
 // though each local schedule is serial.
 TEST(ScheduleOracleTest, RejectsWriteSkew) {
-  HistoryRecorder history;
   constexpr ItemId x = 1, y = 2;
-  history.AddRecord(MakeRecord(0, 0, 1, /*commit_seq=*/1, {x}, {y}));  // A
-  history.AddRecord(MakeRecord(0, 1, 1, /*commit_seq=*/2, {y}, {x}));  // B
-  history.AddRecord(MakeRecord(1, 1, 1, /*commit_seq=*/1, {y}, {x}));  // B
-  history.AddRecord(MakeRecord(1, 0, 1, /*commit_seq=*/2, {x}, {y}));  // A
-  core::SerializabilityVerdict verdict = core::CheckSerializability(history);
+  core::StreamingOracle oracle;
+  FeedOracle({MakeRecord(0, 0, 1, /*commit_seq=*/0, {x}, {y}),   // A
+              MakeRecord(0, 1, 1, /*commit_seq=*/1, {y}, {x}),   // B
+              MakeRecord(1, 1, 1, /*commit_seq=*/0, {y}, {x}),   // B
+              MakeRecord(1, 0, 1, /*commit_seq=*/1, {x}, {y})},  // A
+             &oracle);
+  core::SerializabilityVerdict verdict = oracle.Serializability();
   EXPECT_FALSE(verdict.serializable);
   EXPECT_FALSE(verdict.cycle.empty());
 }
@@ -73,32 +78,31 @@ TEST(ScheduleOracleTest, RejectsWriteSkew) {
 // different "last" writer, and the conflict graph has A<->B edges both
 // ways.
 TEST(ScheduleOracleTest, RejectsLostUpdate) {
-  HistoryRecorder history;
   constexpr ItemId x = 7;
-  history.AddRecord(MakeRecord(0, 0, 1, 1, {x}, {x}));  // A then B at site 0.
-  history.AddRecord(MakeRecord(0, 1, 1, 2, {x}, {x}));
-  history.AddRecord(MakeRecord(1, 1, 1, 1, {x}, {x}));  // B then A at site 1.
-  history.AddRecord(MakeRecord(1, 0, 1, 2, {x}, {x}));
-  core::SerializabilityVerdict verdict = core::CheckSerializability(history);
-  EXPECT_FALSE(verdict.serializable);
+  core::StreamingOracle oracle;
+  FeedOracle({MakeRecord(0, 0, 1, 0, {x}, {x}),  // A then B at site 0.
+              MakeRecord(0, 1, 1, 1, {x}, {x}),
+              MakeRecord(1, 1, 1, 0, {x}, {x}),  // B then A at site 1.
+              MakeRecord(1, 0, 1, 1, {x}, {x})},
+             &oracle);
+  EXPECT_FALSE(oracle.Serializability().serializable);
 }
 
 // G1c: a pure write-write cycle A->B->C->A spread over three sites.
 // No transaction reads anything, so only install order is at fault —
 // the anomaly the value-level read checker can never see.
 TEST(ScheduleOracleTest, RejectsG1cWriteCycle) {
-  HistoryRecorder history;
   constexpr ItemId x = 1, y = 2, z = 3;
-  // Site 0: A writes x, then B writes x  => A -> B.
-  history.AddRecord(MakeRecord(0, 0, 1, 1, {}, {x}));
-  history.AddRecord(MakeRecord(0, 1, 1, 2, {}, {x, y}));
-  // Site 1: B writes y, then C writes y  => B -> C.
-  history.AddRecord(MakeRecord(1, 1, 1, 1, {}, {y}));
-  history.AddRecord(MakeRecord(1, 2, 1, 2, {}, {y, z}));
-  // Site 2: C writes z, then A writes z  => C -> A.
-  history.AddRecord(MakeRecord(2, 2, 1, 1, {}, {z}));
-  history.AddRecord(MakeRecord(2, 0, 1, 2, {}, {z, x}));
-  core::SerializabilityVerdict verdict = core::CheckSerializability(history);
+  core::StreamingOracle oracle;
+  FeedOracle(
+      {// Site 0: A writes x, then B writes x  => A -> B.
+       MakeRecord(0, 0, 1, 0, {}, {x}), MakeRecord(0, 1, 1, 1, {}, {x, y}),
+       // Site 1: B writes y, then C writes y  => B -> C.
+       MakeRecord(1, 1, 1, 0, {}, {y}), MakeRecord(1, 2, 1, 1, {}, {y, z}),
+       // Site 2: C writes z, then A writes z  => C -> A.
+       MakeRecord(2, 2, 1, 0, {}, {z}), MakeRecord(2, 0, 1, 1, {}, {x, z})},
+      &oracle);
+  core::SerializabilityVerdict verdict = oracle.Serializability();
   EXPECT_FALSE(verdict.serializable);
   EXPECT_GE(verdict.cycle.size(), 3u);
 }
@@ -107,13 +111,14 @@ TEST(ScheduleOracleTest, RejectsG1cWriteCycle) {
 // at both sites are serializable — the checker rejects the cycle, not
 // the workload.
 TEST(ScheduleOracleTest, AcceptsConsistentOrder) {
-  HistoryRecorder history;
   constexpr ItemId x = 1, y = 2;
-  history.AddRecord(MakeRecord(0, 0, 1, 1, {x}, {y}));
-  history.AddRecord(MakeRecord(0, 1, 1, 2, {y}, {x}));
-  history.AddRecord(MakeRecord(1, 0, 1, 1, {x}, {y}));
-  history.AddRecord(MakeRecord(1, 1, 1, 2, {y}, {x}));
-  core::SerializabilityVerdict verdict = core::CheckSerializability(history);
+  core::StreamingOracle oracle;
+  FeedOracle({MakeRecord(0, 0, 1, 0, {x}, {y}),
+              MakeRecord(0, 1, 1, 1, {y}, {x}),
+              MakeRecord(1, 0, 1, 0, {x}, {y}),
+              MakeRecord(1, 1, 1, 1, {y}, {x})},
+             &oracle);
+  core::SerializabilityVerdict verdict = oracle.Serializability();
   EXPECT_TRUE(verdict.serializable) << verdict.ToString();
 }
 
@@ -121,12 +126,12 @@ TEST(ScheduleOracleTest, AcceptsConsistentOrder) {
 // writer's value (initially 0). A record claiming it read 5 from an
 // untouched item is an isolation/undo bug.
 TEST(ScheduleOracleTest, RejectsStaleReadValue) {
-  HistoryRecorder history;
   constexpr ItemId x = 4;
-  HistoryRecorder::Record record = MakeRecord(0, 0, 1, 1, {x}, {});
+  HistoryRecorder::Record record = MakeRecord(0, 0, 1, 0, {x}, {});
   record.reads_observed = {{x, 5}};
-  history.AddRecord(record);
-  core::ReadConsistencyVerdict verdict = core::CheckReadConsistency(history);
+  core::StreamingOracle oracle;
+  FeedOracle({record}, &oracle);
+  core::ReadConsistencyVerdict verdict = oracle.ReadConsistency();
   EXPECT_FALSE(verdict.consistent);
   EXPECT_FALSE(verdict.violation.empty());
 }

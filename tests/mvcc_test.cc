@@ -14,9 +14,11 @@
 #include <gtest/gtest.h>
 
 #include "core/history.h"
+#include "core/streaming_oracle.h"
 #include "core/system.h"
 #include "fault/fault_plan.h"
 #include "harness/experiment.h"
+#include "random_history.h"
 #include "runtime/sim_runtime.h"
 #include "sim/simulator.h"
 #include "storage/database.h"
@@ -28,6 +30,7 @@ namespace {
 
 using core::HistoryRecorder;
 using core::Protocol;
+using core::scripted::FeedOracle;
 using core::System;
 using core::SystemConfig;
 using runtime::Co;
@@ -196,65 +199,58 @@ HistoryRecorder::Record Snap(SiteId site, int64_t stamp, ItemId item,
 }
 
 TEST(SnapshotOracleTest, AcceptsAPrefixClosedCut) {
-  HistoryRecorder history;
-  history.AddRecord(Commit(0, 0, 7, 5));   // Stamp 1 installs 5.
-  history.AddRecord(Commit(0, 1, 7, 9));   // Stamp 2 installs 9.
-  history.AddRecord(Snap(0, 0, 7, 0));     // Before everything: initial 0.
-  history.AddRecord(Snap(0, 1, 7, 5));     // Sees seq 0 only.
-  history.AddRecord(Snap(0, 2, 7, 9));     // Sees both.
-  core::SnapshotConsistencyVerdict verdict =
-      core::CheckSnapshotConsistency(history);
+  core::StreamingOracle oracle;
+  FeedOracle({Commit(0, 0, 7, 5),   // Stamp 1 installs 5.
+              Commit(0, 1, 7, 9),   // Stamp 2 installs 9.
+              Snap(0, 0, 7, 0),     // Before everything: initial 0.
+              Snap(0, 1, 7, 5),     // Sees seq 0 only.
+              Snap(0, 2, 7, 9)},    // Sees both.
+             &oracle);
+  core::SnapshotConsistencyVerdict verdict = oracle.SnapshotConsistency();
   EXPECT_TRUE(verdict.consistent) << verdict.violation;
   EXPECT_EQ(verdict.snapshots_checked, 3u);
   EXPECT_EQ(verdict.reads_checked, 3u);
 }
 
 TEST(SnapshotOracleTest, FlagsATornCut) {
-  HistoryRecorder history;
-  history.AddRecord(Commit(0, 0, 7, 5));
-  history.AddRecord(Commit(0, 1, 7, 9));
+  core::StreamingOracle oracle;
   // Stamp 1 must see 5 (only seq 0 is visible), not the later 9.
-  history.AddRecord(Snap(0, 1, 7, 9));
-  core::SnapshotConsistencyVerdict verdict =
-      core::CheckSnapshotConsistency(history);
+  FeedOracle({Commit(0, 0, 7, 5), Commit(0, 1, 7, 9), Snap(0, 1, 7, 9)},
+             &oracle);
+  core::SnapshotConsistencyVerdict verdict = oracle.SnapshotConsistency();
   EXPECT_FALSE(verdict.consistent);
   EXPECT_FALSE(verdict.violation.empty());
 }
 
 TEST(SnapshotOracleTest, FlagsAFloorAboveTheStamp) {
-  HistoryRecorder history;
-  history.AddRecord(Commit(0, 0, 7, 5));
+  core::StreamingOracle oracle;
   // A session that committed at stamp 3 locally must not be served a
   // stamp-1 snapshot: read-your-writes would be violated.
-  history.AddRecord(Snap(0, 1, 7, 5, /*floor=*/3));
-  core::SnapshotConsistencyVerdict verdict =
-      core::CheckSnapshotConsistency(history);
+  FeedOracle({Commit(0, 0, 7, 5), Snap(0, 1, 7, 5, /*floor=*/3)}, &oracle);
+  core::SnapshotConsistencyVerdict verdict = oracle.SnapshotConsistency();
   EXPECT_FALSE(verdict.consistent);
   EXPECT_NE(verdict.violation.find("read-your-writes"), std::string::npos);
 }
 
 TEST(SnapshotOracleTest, SitesAreIndependent) {
-  HistoryRecorder history;
-  history.AddRecord(Commit(0, 0, 7, 5));
+  core::StreamingOracle oracle;
   // Site 1 never applied the write; its stamp-1 cut (from some local
   // commit of another item) still sees 7's initial value.
-  history.AddRecord(Commit(1, 0, 8, 1));
-  history.AddRecord(Snap(1, 1, 7, 0));
-  core::SnapshotConsistencyVerdict verdict =
-      core::CheckSnapshotConsistency(history);
+  FeedOracle({Commit(0, 0, 7, 5), Commit(1, 0, 8, 1), Snap(1, 1, 7, 0)},
+             &oracle);
+  core::SnapshotConsistencyVerdict verdict = oracle.SnapshotConsistency();
   EXPECT_TRUE(verdict.consistent) << verdict.violation;
 }
 
 TEST(SnapshotOracleTest, LockingCheckersSkipSnapshotRecords) {
-  HistoryRecorder history;
-  history.AddRecord(Commit(0, 0, 7, 5));
+  core::StreamingOracle oracle;
   // A snapshot record whose observation would be nonsense under the
-  // strict-2PL replay rule: the locking checkers must not look at it.
-  history.AddRecord(Snap(0, 1, 7, 5));
-  core::ReadConsistencyVerdict reads = core::CheckReadConsistency(history);
+  // strict-2PL replay rule: the locking checks must not look at it.
+  FeedOracle({Commit(0, 0, 7, 5), Snap(0, 1, 7, 5)}, &oracle);
+  core::ReadConsistencyVerdict reads = oracle.ReadConsistency();
   EXPECT_TRUE(reads.consistent) << reads.violation;
   EXPECT_EQ(reads.reads_checked, 0u);  // The only reader is a snapshot.
-  core::SerializabilityVerdict ser = core::CheckSerializability(history);
+  core::SerializabilityVerdict ser = oracle.Serializability();
   EXPECT_TRUE(ser.serializable);
   EXPECT_EQ(ser.nodes, 1u);  // The committed writer only.
 }
@@ -370,6 +366,7 @@ TEST(MvccScenario, PslRejectsRelaxedLevels) {
 TEST(MvccScenario, RywSessionMigratesMidPropagation) {
   SystemConfig config = ScriptedConfig(Protocol::kDagWt, Example11());
   config.consistency = ConsistencyLevel::kRyw;
+  config.enable_trace = true;  // Keeps the snapshot record to inspect.
   auto system = System::Create(std::move(config));
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   System& sys = **system;
@@ -410,8 +407,9 @@ TEST(MvccScenario, RywSessionMigratesMidPropagation) {
   ASSERT_TRUE(it->reads_observed.count(0));
   EXPECT_EQ(it->reads_observed.at(0), sys.database(0).store().Get(0).value());
   core::SnapshotConsistencyVerdict verdict =
-      core::CheckSnapshotConsistency(sys.history());
+      sys.oracle()->SnapshotConsistency();
   EXPECT_TRUE(verdict.consistent) << verdict.violation;
+  EXPECT_EQ(verdict.snapshots_checked, 1u);
 }
 
 // At the origin site the session's floor is covered by the watermark

@@ -1,6 +1,8 @@
 // Random replicated histories shared by the checker tests: the
 // quiescence checkers' differential test (history_test.cc) and the
 // streaming oracle's (streaming_oracle_test.cc) draw the same ones.
+// Also the feed the hand-built anomaly tests (lazychk_test.cc,
+// mvcc_test.cc) give the streaming oracle.
 
 #ifndef LAZYREP_TESTS_RANDOM_HISTORY_H_
 #define LAZYREP_TESTS_RANDOM_HISTORY_H_
@@ -12,6 +14,7 @@
 #include "common/flat_map.h"
 #include "common/rng.h"
 #include "core/history.h"
+#include "core/streaming_oracle.h"
 
 namespace lazyrep::core::scripted {
 
@@ -134,6 +137,24 @@ inline void AddAll(const std::vector<ScriptedCommit>& script,
     r.writes_final = FlatMap<ItemId, Value>(c.finals.begin(), c.finals.end());
     recorder->AddRecord(std::move(r));
   }
+}
+
+/// Feeds hand-built `records` to `oracle` as a run would: every
+/// snapshot's stamp and every transaction's non-empty record count are
+/// announced first, then the records go in order. Each site's commit
+/// seqs must be dense from 0, as a database numbers them.
+inline void FeedOracle(const std::vector<HistoryRecorder::Record>& records,
+                       StreamingOracle* oracle) {
+  std::map<GlobalTxnId, int> expected;
+  for (const HistoryRecorder::Record& r : records) {
+    if (r.snapshot) {
+      oracle->BeginSnapshot(r.site, r.origin, r.snapshot_stamp);
+    } else if (!r.reads.empty() || !r.writes.empty()) {
+      ++expected[r.origin];
+    }
+  }
+  for (const auto& [id, count] : expected) oracle->ExpectRecords(id, count);
+  for (const HistoryRecorder::Record& r : records) oracle->AddRecord(r);
 }
 
 }  // namespace lazyrep::core::scripted

@@ -2,13 +2,18 @@
 // (src/core/streaming_oracle.*): differential tests against the
 // quiescence checkers over the random histories the checkers' own
 // differential tests use, the arrival-order property its reorder buffer
-// relies on, the close rule per protocol, and early detection of the
-// NaiveLazy negative control.
+// relies on, the close rule per protocol, early detection of the
+// NaiveLazy negative control, and the agreement tier: the quiescence
+// checkers re-check every lazychk configuration CI sweeps.
 
 #include <algorithm>
+#include <cctype>
+#include <cstring>
 #include <deque>
 #include <map>
 #include <set>
+#include <sstream>
+#include <string>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -20,6 +25,7 @@
 #include "core/streaming_oracle.h"
 #include "core/system.h"
 #include "harness/experiment.h"
+#include "harness/lazychk.h"
 #include "random_history.h"
 
 namespace lazyrep::core {
@@ -140,40 +146,46 @@ std::vector<const Record*> Permuted(const HistoryRecorder& recorder,
   return out;
 }
 
+/// Checks `oracle`'s verdicts and counts against the quiescence
+/// checkers over `recorder`, the records it was fed.
+void ExpectSameVerdicts(StreamingOracle& oracle,
+                        const HistoryRecorder& recorder) {
+  const SerializabilityVerdict want = CheckSerializability(recorder);
+  const SerializabilityVerdict got = oracle.Serializability();
+  ASSERT_EQ(got.serializable, want.serializable)
+      << "oracle: " << got.ToString()
+      << "; quiescence checker: " << want.ToString();
+  ASSERT_EQ(got.nodes, want.nodes);
+  ASSERT_EQ(got.edges, want.edges);
+  if (!got.serializable) {
+    ASSERT_GE(got.cycle.size(), 3u);
+    EXPECT_EQ(got.cycle.front(), got.cycle.back());
+  }
+  const ReadConsistencyVerdict want_reads = CheckReadConsistency(recorder);
+  const ReadConsistencyVerdict got_reads = oracle.ReadConsistency();
+  ASSERT_EQ(got_reads.consistent, want_reads.consistent);
+  ASSERT_EQ(got_reads.reads_checked, want_reads.reads_checked);
+  const SnapshotConsistencyVerdict want_snaps =
+      CheckSnapshotConsistency(recorder);
+  const SnapshotConsistencyVerdict got_snaps = oracle.SnapshotConsistency();
+  ASSERT_EQ(got_snaps.consistent, want_snaps.consistent);
+  ASSERT_EQ(got_snaps.snapshots_checked, want_snaps.snapshots_checked);
+  ASSERT_EQ(got_snaps.reads_checked, want_snaps.reads_checked);
+}
+
 /// Feeds `order` to a fresh oracle and checks its verdicts and counts
 /// against the quiescence checkers over `recorder`.
 void ExpectAgreement(const HistoryRecorder& recorder,
                      const std::vector<const Record*>& order, int trial) {
+  SCOPED_TRACE("trial " + std::to_string(trial));
   StreamingOracle oracle;
   Announce(order, &oracle);
   for (const Record* r : order) oracle.AddRecord(Record(*r));
   oracle.CheckDrained();
-
-  const SerializabilityVerdict want = CheckSerializability(recorder);
-  const SerializabilityVerdict got = oracle.Serializability();
-  ASSERT_EQ(got.serializable, want.serializable) << "trial " << trial;
-  ASSERT_EQ(got.nodes, want.nodes) << "trial " << trial;
-  ASSERT_EQ(got.edges, want.edges) << "trial " << trial;
-  if (!got.serializable) {
-    ASSERT_GE(got.cycle.size(), 3u) << "trial " << trial;
-    EXPECT_EQ(got.cycle.front(), got.cycle.back()) << "trial " << trial;
-  }
-  const ReadConsistencyVerdict want_reads = CheckReadConsistency(recorder);
-  const ReadConsistencyVerdict got_reads = oracle.ReadConsistency();
-  ASSERT_EQ(got_reads.consistent, want_reads.consistent) << "trial " << trial;
-  ASSERT_EQ(got_reads.reads_checked, want_reads.reads_checked)
-      << "trial " << trial;
-  const SnapshotConsistencyVerdict want_snaps =
-      CheckSnapshotConsistency(recorder);
-  const SnapshotConsistencyVerdict got_snaps = oracle.SnapshotConsistency();
-  ASSERT_EQ(got_snaps.consistent, want_snaps.consistent) << "trial " << trial;
-  ASSERT_EQ(got_snaps.snapshots_checked, want_snaps.snapshots_checked)
-      << "trial " << trial;
-  ASSERT_EQ(got_snaps.reads_checked, want_snaps.reads_checked)
-      << "trial " << trial;
+  ExpectSameVerdicts(oracle, recorder);
   const StreamingOracle::Stats stats = oracle.stats();
-  EXPECT_EQ(stats.live_txns, 0u) << "trial " << trial;
-  EXPECT_EQ(stats.buffered_records, 0u) << "trial " << trial;
+  EXPECT_EQ(stats.live_txns, 0u);
+  EXPECT_EQ(stats.buffered_records, 0u);
 }
 
 TEST(StreamingOracleTest, MatchesQuiescenceCheckersInCommitOrder) {
@@ -406,7 +418,9 @@ SystemConfig SmallSimConfig(Protocol protocol, uint64_t seed) {
 class CloseRuleTest : public ::testing::TestWithParam<Protocol> {};
 
 TEST_P(CloseRuleTest, EachTransactionClosesOnItsNonEmptyRecordCount) {
-  auto system = System::Create(SmallSimConfig(GetParam(), 3));
+  SystemConfig config = SmallSimConfig(GetParam(), 3);
+  config.enable_trace = true;  // Keeps the records to count.
+  auto system = System::Create(std::move(config));
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   std::map<GlobalTxnId, int> announced;
   (*system)->oracle()->SetCloseHook(
@@ -468,6 +482,21 @@ TEST(StreamingOracleTest, ConflictingCommitsArriveInSeqOrder) {
   EXPECT_GT(pairs, 100u);
 }
 
+/// Re-walks a cycle witness: it must end where it starts, and each step
+/// must be a real conflict, the earlier transaction's record before the
+/// later's in some site's commit order.
+void ExpectWitnessIsACycle(const std::deque<Record>& records,
+                           const std::vector<GlobalTxnId>& cycle) {
+  ASSERT_GE(cycle.size(), 3u);
+  EXPECT_EQ(cycle.front(), cycle.back());
+  for (size_t k = 0; k + 1 < cycle.size(); ++k) {
+    EXPECT_TRUE(IsConflictEdge(records, cycle[k], cycle[k + 1]))
+        << "no conflict orders s" << cycle[k].origin_site << "#"
+        << cycle[k].seq << " before s" << cycle[k + 1].origin_site << "#"
+        << cycle[k + 1].seq;
+  }
+}
+
 TEST(StreamingOracleTest, NaiveLazyViolationIsCaughtBeforeQuiescence) {
   // The negative control: NaiveLazy on a cyclic copy graph (b = 0.2).
   std::unique_ptr<System> system;
@@ -476,6 +505,7 @@ TEST(StreamingOracleTest, NaiveLazyViolationIsCaughtBeforeQuiescence) {
     config.workload.backedge_prob = 0.2;
     config.workload.txns_per_thread = 20;
     config.seed = seed;
+    config.enable_trace = true;  // Keeps the records the witness names.
     auto created = System::Create(std::move(config));
     ASSERT_TRUE(created.ok()) << created.status().ToString();
     if (!(*created)->Run().serializable) system = std::move(*created);
@@ -488,19 +518,97 @@ TEST(StreamingOracleTest, NaiveLazyViolationIsCaughtBeforeQuiescence) {
             static_cast<int64_t>(records.size()))
       << "detected only by the last record";
 
-  // Re-walk the witness: each step must be a real conflict, the earlier
-  // transaction's record before the later's in some site's commit order.
-  const std::vector<GlobalTxnId> cycle =
-      system->oracle()->Serializability().cycle;
-  ASSERT_GE(cycle.size(), 3u);
-  EXPECT_EQ(cycle.front(), cycle.back());
-  for (size_t k = 0; k + 1 < cycle.size(); ++k) {
-    EXPECT_TRUE(IsConflictEdge(records, cycle[k], cycle[k + 1]))
-        << "no conflict orders s" << cycle[k].origin_site
-                       << "#" << cycle[k].seq << " before s"
-                       << cycle[k + 1].origin_site << "#" << cycle[k + 1].seq;
-  }
+  ExpectWitnessIsACycle(records, system->oracle()->Serializability().cycle);
 }
+
+// The agreement tier: every lazychk configuration CI sweeps, traced so
+// that the run keeps its history, which the quiescence checkers, the
+// reference implementation, then re-check: they must reach the oracle's
+// verdicts with the same counts on every run.
+
+/// The argument lists of the lazychk sweeps in CI's schedule-fuzz job
+/// (.github/workflows/ci.yml), one per configuration; keep the two in
+/// step. Last comes the NaiveLazy negative control of its replay step.
+std::vector<std::string> CiLazychkArgs() {
+  const std::string faults =
+      " --faults=drop:0.01,dup:0.01,crash:2@500ms+100ms";
+  const std::string batching =
+      " --batch-window=2ms --piggyback-acks --group-commit";
+  std::vector<std::string> out;
+  for (const char* p : {"dagwt", "dagt", "backedge"}) {
+    const std::string run = std::string("--protocol=") + p;
+    for (const std::string& extra : {std::string(), faults}) {
+      out.push_back(run + " --seeds=50 --shrink" + extra);
+      out.push_back(run + " --seeds=34 --shrink" + batching + extra);
+      out.push_back(run + " --seeds=34 --shrink --consistency=snapshot" +
+                    extra);
+    }
+    out.push_back(run + " --topology=chain:64 --txns=5 --seeds=10 --shrink");
+    out.push_back(run + " --topology=tree:64,4 --txns=5 --seeds=10 --shrink");
+  }
+  out.push_back(
+      "--protocol=backedge --topology=rand:64,0.10 --txns=5 --seeds=10 "
+      "--shrink");
+  for (const char* w : {"ycsb_a", "smallbank", "tpcc_lite"}) {
+    for (const char* p : {"dagwt", "dagt", "backedge"}) {
+      const std::string run = std::string("--protocol=") + p +
+                              " --workload=" + w + " --zipf=0.8 --seeds=34 " +
+                              "--shrink";
+      out.push_back(run);
+      out.push_back(run + faults);
+    }
+  }
+  out.push_back("--protocol=naive --seeds=3 --txns=20 --zipf=0.1234567");
+  return out;
+}
+
+class OracleAgreementTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(OracleAgreementTest, QuiescenceCheckersReachTheOracleVerdicts) {
+  constexpr int kSeeds = 3;
+  std::vector<std::string> args;
+  std::istringstream words(GetParam());
+  for (std::string word; words >> word;) args.push_back(word);
+  harness::LazychkOptions options;
+  const Status parsed = harness::ParseLazychkArgs(args, &options);
+  ASSERT_TRUE(parsed.ok()) << parsed.ToString();
+  const bool control = options.run.protocol == Protocol::kNaiveLazy;
+  int violations = 0;
+  for (int i = 0; i < std::min(options.seeds, kSeeds); ++i) {
+    const uint64_t seed = options.first_seed + static_cast<uint64_t>(i);
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    SystemConfig config = harness::LazychkConfig(options, seed, options.policy);
+    config.enable_trace = true;
+    auto system = System::Create(std::move(config));
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    ASSERT_FALSE((*system)->Run().timed_out);
+    const HistoryRecorder& history = (*system)->history();
+    StreamingOracle& oracle = *(*system)->oracle();
+    ASSERT_FALSE(history.records().empty());
+    ExpectSameVerdicts(oracle, history);
+    if (HasFatalFailure()) return;
+    const SerializabilityVerdict verdict = oracle.Serializability();
+    if (!control || verdict.serializable) continue;
+    ++violations;
+    ExpectWitnessIsACycle(history.records(), verdict.cycle);
+  }
+  if (control) EXPECT_GT(violations, 0) << "the control found no violation";
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Ci, OracleAgreementTest, ::testing::ValuesIn(CiLazychkArgs()),
+    [](const auto& info) {
+      // "--protocol=dagt --seeds=50" -> "dagt_seeds_50".
+      std::string name;
+      for (char c : info.param.substr(std::strlen("--protocol="))) {
+        if (std::isalnum(static_cast<unsigned char>(c))) {
+          name += c;
+        } else if (!name.empty() && name.back() != '_') {
+          name += '_';
+        }
+      }
+      return name;
+    });
 
 }  // namespace
 }  // namespace lazyrep::core

@@ -1,7 +1,7 @@
 // End-to-end protocol tests (src/core/system.*): every protocol runs
 // real workloads in the simulated distributed system; serializability is
-// verified on the recorded histories and replica convergence on the
-// final stores. NaiveLazy is the negative control.
+// verified by the streaming oracle and replica convergence on the final
+// stores. NaiveLazy is the negative control.
 
 #include <algorithm>
 #include <cstring>
@@ -530,6 +530,33 @@ TEST(SystemTest, ScriptedTransactionAndDrain) {
   EXPECT_EQ(sys.database(1).store().Get(0).value(), primary);
   EXPECT_EQ(sys.database(2).store().Get(0).value(), primary);
   EXPECT_TRUE(sys.CheckHistory().serializable);
+}
+
+TEST(SystemTest, OnlyTracedRunsKeepRecordsAndEveryRunIsChecked) {
+  for (bool traced : {false, true}) {
+    SystemConfig config = SmallConfig(Protocol::kBackEdge, 7);
+    config.runtime = runtime::RuntimeKind::kSim;
+    config.enable_trace = traced;
+    auto system = System::Create(std::move(config));
+    ASSERT_TRUE(system.ok()) << system.status().ToString();
+    RunMetrics metrics = (*system)->Run();
+    EXPECT_TRUE(metrics.checked);
+    EXPECT_TRUE(metrics.serializable) << metrics.verdict;
+    EXPECT_EQ(metrics.verdict, (*system)->CheckHistory().ToString());
+    EXPECT_GT(metrics.reads_checked, 0u);
+    EXPECT_EQ((*system)->history().records().empty(), !traced)
+        << "traced=" << traced;
+  }
+}
+
+TEST(SystemDeathTest, CheckHistoryOfAnUncheckedRunFails) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  SystemConfig config = SmallConfig(Protocol::kDagWt, 7);
+  config.runtime = runtime::RuntimeKind::kSim;
+  config.check_serializability = false;
+  auto system = System::Create(std::move(config));
+  ASSERT_TRUE(system.ok()) << system.status().ToString();
+  EXPECT_DEATH((*system)->CheckHistory(), "check_serializability off");
 }
 
 // ------------------------------------------------------- chaos grid
