@@ -507,9 +507,9 @@ void ProtocolSpectrum(const BenchOptions& options) {
       "weave Example 1.1 cycles across items.\n");
 }
 
-// Extension: DAG(WT) ships a window's secondaries to a tree child as one
-// message, amortizing the dominant per-message CPU cost at the price of
-// propagation delay. Forwarding order is kept, so serializability holds.
+// Extension: the transport coalesces a window's posts to a tree child into
+// one frame, amortizing the dominant per-message CPU cost at the price of
+// propagation delay. Channel order is kept, so serializability holds.
 void DagWtBatching(const BenchOptions& options) {
   Config base = Base(options, Protocol::kDagWt);
   base.workload.backedge_prob = 0.0;
@@ -522,14 +522,11 @@ void DagWtBatching(const BenchOptions& options) {
                        "bytes/msg", "prop_ms", "SR"});
   for (double window_ms : {0.0, 1.0, 5.0, 20.0, 50.0}) {
     Config config = base;
-    config.engine.batch_window = Millis(window_ms);
-    core::RunMetrics one = CreateSystem(config)->Run();  // For bytes/msg.
-    double bytes = static_cast<double>(one.bytes) /
-                   static_cast<double>(std::max<uint64_t>(one.messages, 1));
+    config.batching.window = Millis(window_ms);
     AggregateResult r = harness::RunSeeds(config, options.seeds);
     std::vector<std::string> row =
         Row({Table::Num(window_ms, 0)}, {kTps, kAbort, kMsgs}, config, r);
-    row.push_back(Table::Num(bytes, 0));
+    row.push_back(Table::Num(r.bytes_per_message, 0));
     table.PrintRow(Row(row, {kProp, kSr}, config, r));
   }
 }

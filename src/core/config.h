@@ -113,12 +113,6 @@ struct EngineOptions {
   /// time instead of blind apply (the commercial reconciliation rule of
   /// §1 — converges, still not serializable).
   bool naive_lww = false;
-  /// DAG(WT) batching extension: buffer outgoing secondary
-  /// subtransactions per tree child and ship them in one message every
-  /// `batch_window` (forwarding order preserved, so serializability is
-  /// unaffected; propagation delay grows by up to the window). 0 = off
-  /// (the paper's behaviour). Only valid for Protocol::kDagWt.
-  Duration batch_window = 0;
   /// Local deadlock handling (timeout is the paper's choice; wait-die is
   /// the prevention alternative built for multi-worker sites).
   storage::DeadlockPolicy deadlock_policy =
@@ -192,7 +186,10 @@ struct SystemConfig {
   /// either change every golden schedule or silently measure nothing.
   int workers_per_site = 1;
   uint64_t seed = 1;
-  /// Record per-site histories and run the serializability checker.
+  /// Run the streaming oracle (docs/CHECKING.md), which checks
+  /// serializability and read/snapshot consistency as commits stream in.
+  /// Off, no check runs (`RunMetrics::checked` stays false). The full
+  /// history is kept only when `enable_trace` is set as well.
   bool check_serializability = true;
   /// Record a protocol event trace (commits/aborts, messages, lock
   /// waits/timeouts) — see core/trace.h. Debugging aid.

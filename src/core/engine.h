@@ -83,7 +83,7 @@ class ReplicationEngine {
   virtual void Start() {}
 
   /// Stops periodic background processes; in-flight work still drains.
-  virtual void BeginShutdown() { shutdown_ = true; }
+  void BeginShutdown() { shutdown_ = true; }
 
   /// Runs one primary transaction to commit or abort. An abort leaves no
   /// local or remote residue (rollback is complete when this returns or
@@ -219,26 +219,6 @@ class ReplicationEngine {
   /// WAL group commit on (docs/PERFORMANCE.md §6): secondary appliers
   /// defer the per-commit WAL sync until the batch boundary.
   bool GroupCommit() const { return ctx_.config->batching.wal_group_commit; }
-
-  /// Unpacks a delivered update/batch envelope into per-arrival entries:
-  /// every inner update of a `SecondaryBatch` keeps `batch_end = false`
-  /// except the last, which inherits the envelope's boundary.
-  template <typename SendFn>
-  static void UnpackSecondaryEnvelope(ProtocolNetwork::Envelope env,
-                                      SendFn&& send) {
-    if (auto* update = std::get_if<SecondaryUpdate>(&env.payload)) {
-      send(SecondaryArrival{std::move(*update), env.batch_end});
-    } else if (auto* batch = std::get_if<SecondaryBatch>(&env.payload)) {
-      for (size_t i = 0; i < batch->updates.size(); ++i) {
-        const bool last = (i + 1 == batch->updates.size());
-        send(SecondaryArrival{std::move(batch->updates[i]),
-                              last && env.batch_end});
-      }
-    } else {
-      LAZYREP_CHECK(false) << "expected a secondary update/batch, got "
-                           << MessageKindName(env.payload);
-    }
-  }
 
   /// True unless fault injection currently has this site crashed.
   bool SiteUp() const {

@@ -13,51 +13,13 @@ void DagWtEngine::Start() {
   if (ctx_.routing->tree()->Parent(ctx_.site) != kInvalidSite) {
     ctx_.rt->SpawnOn(ctx_.machine, Applier());
   }
-  if (ctx_.config->engine.batch_window > 0 &&
-      !ctx_.routing->tree()->Children(ctx_.site).empty()) {
-    ctx_.rt->SpawnOn(ctx_.machine, BatchFlusher());
-  }
 }
 
 void DagWtEngine::ForwardToRelevantChildren(const SecondaryUpdate& update) {
   for (SiteId child :
        ctx_.routing->RelevantTreeChildren(ctx_.site, update.writes)) {
-    if (ctx_.config->engine.batch_window > 0) {
-      // Batching extension: buffered in forwarding order, shipped by the
-      // flusher.
-      outgoing_[child].push_back(update);
-    } else {
-      ctx_.net->Post(ctx_.site, child, ProtocolMessage(update));
-    }
+    ctx_.net->Post(ctx_.site, child, ProtocolMessage(update));
   }
-}
-
-void DagWtEngine::FlushBatches() {
-  for (auto& [child, buffer] : outgoing_) {
-    if (buffer.empty()) continue;
-    if (buffer.size() == 1) {
-      ctx_.net->Post(ctx_.site, child,
-                     ProtocolMessage(std::move(buffer[0])));
-    } else {
-      SecondaryBatch batch;
-      batch.updates = std::move(buffer);
-      ctx_.net->Post(ctx_.site, child, ProtocolMessage(std::move(batch)));
-    }
-    buffer.clear();
-  }
-}
-
-runtime::Co<void> DagWtEngine::BatchFlusher() {
-  const Duration window = ctx_.config->engine.batch_window;
-  while (!shutdown_) {
-    co_await ctx_.rt->Delay(window);
-    FlushBatches();
-  }
-}
-
-void DagWtEngine::BeginShutdown() {
-  ReplicationEngine::BeginShutdown();
-  FlushBatches();  // Nothing may linger in the buffers.
 }
 
 runtime::Co<Status> DagWtEngine::ExecutePrimary(GlobalTxnId id,
@@ -81,9 +43,9 @@ runtime::Co<Status> DagWtEngine::CommitLazily(
 void DagWtEngine::OnMessage(ProtocolNetwork::Envelope env) {
   LAZYREP_CHECK_EQ(env.src, ctx_.routing->tree()->Parent(ctx_.site))
       << "tree propagation receives only from its tree parent";
-  UnpackSecondaryEnvelope(std::move(env), [this](SecondaryArrival arrival) {
-    inbox_.Send(std::move(arrival));
-  });
+  SecondaryUpdate* update = std::get_if<SecondaryUpdate>(&env.payload);
+  LAZYREP_CHECK(update != nullptr) << "DAG(WT) only uses SecondaryUpdate";
+  inbox_.Send(SecondaryArrival{std::move(*update), env.batch_end});
   inbox_peak_ = std::max(inbox_peak_, inbox_.size());
 }
 
@@ -115,12 +77,6 @@ runtime::Co<void> DagWtEngine::ApplySpecial(SecondaryArrival) {
   co_return;
 }
 
-bool DagWtEngine::Quiescent() const {
-  if (!inbox_.empty() || applying_) return false;
-  for (const auto& [child, buffer] : outgoing_) {
-    if (!buffer.empty()) return false;
-  }
-  return true;
-}
+bool DagWtEngine::Quiescent() const { return inbox_.empty() && !applying_; }
 
 }  // namespace lazyrep::core

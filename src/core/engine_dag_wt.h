@@ -1,7 +1,6 @@
 #ifndef LAZYREP_CORE_ENGINE_DAG_WT_H_
 #define LAZYREP_CORE_ENGINE_DAG_WT_H_
 
-#include <map>
 #include <vector>
 
 #include "core/engine.h"
@@ -33,7 +32,6 @@ class DagWtEngine : public ReplicationEngine {
   void OnMessage(ProtocolNetwork::Envelope env) override;
   bool Quiescent() const override;
 
-  void BeginShutdown() override;
   void ExportObs() override;
 
  protected:
@@ -43,8 +41,7 @@ class DagWtEngine : public ReplicationEngine {
   runtime::Co<Status> CommitLazily(storage::TxnPtr txn, GlobalTxnId id,
                                    const std::vector<WriteRecord>& writes);
 
-  /// Posts `update` to every relevant tree child of this site (or
-  /// buffers it per child when the batching extension is on). Called
+  /// Posts `update` to every relevant tree child of this site. Called
   /// inside commit atomic hooks so forwarding order equals commit order.
   void ForwardToRelevantChildren(const SecondaryUpdate& update);
 
@@ -56,19 +53,13 @@ class DagWtEngine : public ReplicationEngine {
   virtual const char* ObsProtocol() const { return "dag_wt"; }
 
  private:
-  /// Ships each non-empty per-child buffer as one message.
-  void FlushBatches();
-
   runtime::Co<void> Applier();
-  runtime::Co<void> BatchFlusher();
 
   runtime::Mailbox<SecondaryArrival> inbox_;  // From the tree parent.
   bool applying_ = false;
   /// High watermark of the forward-queue length (machine-confined;
   /// exported at quiescence).
   size_t inbox_peak_ = 0;
-  /// Batching state: per-child outgoing buffer, in forwarding order.
-  std::map<SiteId, std::vector<SecondaryUpdate>> outgoing_;
 };
 
 }  // namespace lazyrep::core

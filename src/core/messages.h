@@ -107,8 +107,9 @@ struct PslRelease {
   bool committed = false;
 };
 
-/// DAG(WT) batching extension: several secondary subtransactions shipped
-/// in one message (in forwarding order) to amortize per-message costs.
+/// Several secondary subtransactions in one message. No engine sends it
+/// (batching is the transport's `ReliableBatch`); the type and its wire
+/// tag 10 stay only while the codec benchmark samples them.
 struct SecondaryBatch {
   std::vector<SecondaryUpdate> updates;
 };

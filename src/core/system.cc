@@ -171,12 +171,6 @@ Status Validate(const SystemConfig& config) {
         "perturbation explores waiter orders, but wait-die kills the "
         "waiters the shuffle would reorder");
   }
-  if (config.engine.batch_window > 0 &&
-      config.protocol != Protocol::kDagWt) {
-    return Status::InvalidArgument(
-        "batch_window is only supported by DAG(WT) (batching would "
-        "reorder BackEdge special subtransactions)");
-  }
   if (config.batching.window < 0) {
     return Status::InvalidArgument("batching window must be >= 0");
   }
@@ -207,11 +201,6 @@ Status Validate(const SystemConfig& config) {
       return Status::InvalidArgument(
           "crash faults are only supported for the lazy tree protocols "
           "(DAG(WT)/DAG(T)/BackEdge)");
-    }
-    if (config.engine.batch_window > 0) {
-      return Status::InvalidArgument(
-          "crash faults require batching off (buffered batches are "
-          "volatile)");
     }
     for (const fault::CrashEvent& crash : config.faults->crashes) {
       if (crash.site < 0 || crash.site >= params.num_sites) {
@@ -709,18 +698,11 @@ void System::RunThreads() {
     }
     if (!timed_out_) {
       drain_elapsed_ = runtime_->Now();
-      // Flush whatever the engines still buffer (DAG(WT) batches), then
-      // let the flushed messages drain as well.
+      // Nothing is left to flush: AllQuiescent counts every buffered
+      // transport post as unacked, and the one periodic sender (DAG(T)'s
+      // dummies) checks for shutdown before it posts.
       OnEachSiteBlocking([this](SiteId s) { engines_[s]->BeginShutdown(); });
       if (transport_ != nullptr) transport_->BeginShutdown();
-      while (!AllQuiescent() && !timed_out_) {
-        if (past_deadline()) {
-          timed_out_ = true;
-          break;
-        }
-        pump();
-        std::this_thread::sleep_for(poll);
-      }
     }
   }
   // Join the executors before metrics/verdicts: everything below runs

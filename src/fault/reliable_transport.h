@@ -203,7 +203,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         FlushChannel(src, dst);
       } else if (!ch.flusher_scheduled) {
         ch.flusher_scheduled = true;
-        rt_->Spawn(BatchFlusher(src, dst));
+        rt_->Spawn(WindowFlusher(src, dst));
       }
       return;
     }
@@ -430,7 +430,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   /// Single-shot window flusher for one channel; runs on the source
   /// machine. A size-triggered flush during the delay just means this
   /// tick flushes whatever accumulated since (possibly nothing).
-  runtime::Co<void> BatchFlusher(SiteId src, SiteId dst) {
+  runtime::Co<void> WindowFlusher(SiteId src, SiteId dst) {
     SendState& ch = send_[ChannelIndex(src, dst)];
     co_await rt_->Delay(config_.batch_window);
     ch.flusher_scheduled = false;

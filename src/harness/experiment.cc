@@ -61,6 +61,7 @@ AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
   Summary response_p95;
   Summary propagation;
   Summary msgs_per_txn;
+  Summary bytes_per_message;
   Summary read_throughput;
   Summary read_p99;
   Summary staleness;
@@ -96,6 +97,9 @@ AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
     msgs_per_txn.Add(attempts > 0 ? static_cast<double>(metrics.messages) /
                                         static_cast<double>(attempts)
                                   : 0.0);
+    bytes_per_message.Add(
+        static_cast<double>(metrics.bytes) /
+        static_cast<double>(std::max<uint64_t>(metrics.messages, 1)));
     out.committed += metrics.committed;
     out.read_committed += metrics.read_committed;
     read_throughput.Add(metrics.read_throughput /
@@ -120,6 +124,7 @@ AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
   out.response_p95_ms = response_p95.mean();
   out.propagation_ms = propagation.mean();
   out.messages_per_txn = msgs_per_txn.mean();
+  out.bytes_per_message = bytes_per_message.mean();
   out.read_throughput = read_throughput.mean();
   out.read_p99_ms = read_p99.mean();
   out.staleness_ms = staleness.mean();

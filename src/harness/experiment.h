@@ -23,6 +23,7 @@ struct AggregateResult {
   double response_p95_ms = 0;
   double propagation_ms = 0;
   double messages_per_txn = 0;
+  double bytes_per_message = 0;  // Wire bytes per network message, mean.
   int64_t committed = 0;
   /// MVCC snapshot-read aggregates (zero under kSerializable).
   double read_throughput = 0;   // Snapshot reads/s per site, mean.

@@ -291,7 +291,8 @@ std::vector<ConfigFlag> BuildConfigFlags() {
                c.enable_wal = true;  // The boundary needs a log to seal.
              },
              [](const Config& c) { return c.batching.wal_group_commit; }),
-      Switch("no-check", "skip history recording and the serializability check",
+      Switch("no-check",
+             "turn off the streaming oracle (no serializability check)",
              [](Config& c) { c.check_serializability = false; },
              [](const Config& c) { return !c.check_serializability; }),
       Time("warmup-ms", "exclude transactions that start before this time",

@@ -8,8 +8,10 @@
 //    {drop 1%, dup 1%, one mid-run crash+restart}, on both the sim and
 //    the threads runtime, asserting global serializability, convergence,
 //    and that the crashed site's final store equals a fresh Wal::Replay.
-//    A third variant (ChaosWorkers*) reruns the threads tier with four
-//    worker lanes per machine — real intra-site parallelism.
+//    The sim tier runs each protocol again with transport frame
+//    coalescing on (`*WithCoalescing`). A third variant (ChaosWorkers*)
+//    reruns the threads tier with four worker lanes per machine — real
+//    intra-site parallelism.
 //
 // CI runs this binary once per runtime via --gtest_filter (ChaosSim* /
 // ChaosThreads* / ChaosWorkers*); a plain run covers all.
@@ -119,13 +121,6 @@ TEST(FaultValidationTest, CrashRequiresWal) {
 
 TEST(FaultValidationTest, CrashRequiresLazyTreeProtocol) {
   ExpectRejected(CrashConfig(Protocol::kEager), "lazy tree protocols");
-}
-
-TEST(FaultValidationTest, CrashRequiresBatchingOff) {
-  core::SystemConfig config = CrashConfig(Protocol::kDagWt);
-  config.workload.backedge_prob = 0.0;
-  config.engine.batch_window = Millis(5);
-  ExpectRejected(std::move(config), "batching off");
 }
 
 TEST(FaultValidationTest, CrashSiteMustExist) {
@@ -384,6 +379,7 @@ struct ChaosCounters {
   uint64_t dropped = 0;
   uint64_t retransmissions = 0;
   uint64_t duplicates_discarded = 0;
+  uint64_t batch_frames = 0;
 };
 
 // TSan slows the executors by an order of magnitude, and the threads
@@ -407,13 +403,17 @@ constexpr int64_t kChaosTimeDilation = 10;
 constexpr int64_t kChaosTimeDilation = 1;
 #endif
 
+// `window` > 0 turns on transport frame coalescing, so frames buffered
+// for the coalescing window ride through the crash as well.
 core::SystemConfig ChaosConfig(Protocol protocol, RuntimeKind kind,
-                               uint64_t seed, int workers = 1) {
+                               uint64_t seed, int workers = 1,
+                               Duration window = 0) {
   core::SystemConfig config = harness::PaperConfig(protocol);
   config.runtime = kind;
   config.seed = seed;
   config.workers_per_site = workers;
   config.enable_wal = true;
+  config.batching.window = window;
   if (protocol != Protocol::kBackEdge) {
     config.workload.backedge_prob = 0.0;  // DAG protocols need a DAG.
   }
@@ -444,11 +444,14 @@ core::SystemConfig ChaosConfig(Protocol protocol, RuntimeKind kind,
 // converges, and the crashed site's final store is exactly what
 // Wal::Replay reconstructs (recovery really did come from the log).
 void RunChaos(Protocol protocol, RuntimeKind kind, uint64_t seed,
-              ChaosCounters* counters, int workers = 1) {
+              ChaosCounters* counters, int workers = 1,
+              Duration window = 0) {
   SCOPED_TRACE("protocol=" + core::ProtocolName(protocol) +
                " seed=" + std::to_string(seed) +
-               " workers=" + std::to_string(workers));
-  core::SystemConfig config = ChaosConfig(protocol, kind, seed, workers);
+               " workers=" + std::to_string(workers) +
+               " window_ns=" + std::to_string(window));
+  core::SystemConfig config =
+      ChaosConfig(protocol, kind, seed, workers, window);
   const SiteId crash_site = config.faults->crashes[0].site;
   auto system = core::System::Create(config);
   ASSERT_TRUE(system.ok()) << system.status().ToString();
@@ -482,15 +485,16 @@ void RunChaos(Protocol protocol, RuntimeKind kind, uint64_t seed,
     counters->retransmissions += sys.transport()->retransmissions();
     counters->duplicates_discarded +=
         sys.transport()->duplicates_discarded();
+    counters->batch_frames += sys.transport()->batch_frames_sent();
   }
 }
 
-class ChaosSimTest : public ::testing::TestWithParam<Protocol> {};
-
-TEST_P(ChaosSimTest, SerializableAndConvergedAcrossSeeds) {
+// The sim chaos tier over seeds 1..5 at one coalescing window (0 = off).
+void RunChaosSimSeeds(Protocol protocol, Duration window) {
   ChaosCounters counters;
   for (uint64_t seed = 1; seed <= 5; ++seed) {
-    RunChaos(GetParam(), RuntimeKind::kSim, seed, &counters);
+    RunChaos(protocol, RuntimeKind::kSim, seed, &counters, /*workers=*/1,
+             window);
     if (::testing::Test::HasFatalFailure()) return;
   }
   // With 1% drop/dup over thousands of frames, every protocol must have
@@ -498,6 +502,23 @@ TEST_P(ChaosSimTest, SerializableAndConvergedAcrossSeeds) {
   EXPECT_GT(counters.dropped, 0u);
   EXPECT_GT(counters.retransmissions, 0u);
   EXPECT_GT(counters.duplicates_discarded, 0u);
+  // The coalescing arm really shipped coalesced frames.
+  if (window > 0) {
+    EXPECT_GT(counters.batch_frames, 0u);
+  }
+}
+
+class ChaosSimTest : public ::testing::TestWithParam<Protocol> {};
+
+TEST_P(ChaosSimTest, SerializableAndConvergedAcrossSeeds) {
+  RunChaosSimSeeds(GetParam(), /*window=*/0);
+}
+
+// The same runs with transport frame coalescing on: the one in-ctest
+// check of WAL replay under a crash with frames buffered in the
+// transport.
+TEST_P(ChaosSimTest, SerializableAndConvergedWithCoalescing) {
+  RunChaosSimSeeds(GetParam(), Millis(2));
 }
 
 // Same seed twice: the sim schedule — faults, crash, recovery and all —

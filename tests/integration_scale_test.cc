@@ -90,19 +90,6 @@ TEST(PaperScaleExtras, BackEdgeWithoutBackedgesRunsExactlyAsDagWt) {
   }
 }
 
-TEST(PaperScaleExtras, BatchedDagWtAtScale) {
-  SystemConfig config = harness::PaperConfig(Protocol::kDagWt);
-  config.workload.txns_per_thread = 100;
-  config.workload.backedge_prob = 0.0;
-  config.engine.batch_window = Millis(10);
-  auto system = System::Create(std::move(config));
-  ASSERT_TRUE(system.ok());
-  RunMetrics metrics = (*system)->Run();
-  EXPECT_TRUE(metrics.serializable) << metrics.verdict;
-  EXPECT_TRUE(metrics.reads_consistent);
-  EXPECT_TRUE(metrics.converged);
-}
-
 TEST(PaperScaleExtras, SkewedBackEdgeAtScale) {
   SystemConfig config = harness::PaperConfig(Protocol::kBackEdge);
   config.workload.txns_per_thread = 100;

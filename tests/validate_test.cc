@@ -69,9 +69,6 @@ const ValidateCase kValidateCases[] = {
        c->schedule = schedule;
      },
      "wait-die does not compose with shuffle_grants"},
-    {"engine batching protocol",
-     [](SystemConfig* c) { c->engine.batch_window = Millis(1); },
-     "batch_window is only supported by DAG(WT)"},
     {"negative batch window",
      [](SystemConfig* c) { c->batching.window = -1; },
      "batching window must be >= 0"},
@@ -99,14 +96,6 @@ const ValidateCase kValidateCases[] = {
        AddCrash(c, 1, Millis(5));
      },
      "only supported for the lazy tree protocols"},
-    {"crash with engine batching",
-     [](SystemConfig* c) {
-       c->protocol = Protocol::kDagWt;
-       c->enable_wal = true;
-       c->engine.batch_window = Millis(1);
-       AddCrash(c, 1, Millis(5));
-     },
-     "crash faults require batching off"},
     {"crash site",
      [](SystemConfig* c) {
        c->enable_wal = true;
