@@ -88,6 +88,26 @@ SecondaryUpdate ReplicationEngine::OriginUpdate(
   return update;
 }
 
+std::optional<SecondaryUpdate> ReplicationEngine::ProjectFor(
+    SiteId dest, Routing::Scope scope, const SecondaryUpdate& update) const {
+  std::vector<WriteRecord> kept;
+  const size_t needed =
+      ctx_.routing->Project(dest, scope, update.writes, &kept);
+  if (needed == 0) return std::nullopt;
+  if (needed == update.writes.size()) return update;
+  // Every field but the writes, which the projection replaces.
+  SecondaryUpdate projected;
+  projected.origin = update.origin;
+  projected.writes = std::move(kept);
+  projected.ts = update.ts;
+  projected.is_dummy = update.is_dummy;
+  projected.is_special = update.is_special;
+  projected.origin_site = update.origin_site;
+  projected.origin_commit_time = update.origin_commit_time;
+  projected.origin_commit_seq = update.origin_commit_seq;
+  return projected;
+}
+
 runtime::Co<void> ReplicationEngine::ApplySecondary(
     const SecondaryArrival& arrival,
     std::function<void(int64_t commit_seq)> on_commit) {

@@ -3,6 +3,7 @@
 
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "common/check.h"
@@ -195,9 +196,14 @@ class ReplicationEngine {
                                int64_t seq);
 
   /// Whether OriginUpdate stamps `origin_commit_time`. Only NaiveLazy's
-  /// LWW applier reads it; BackEdge keeps stamping it so its frames, and
-  /// through the bandwidth model its schedules, stay as they were.
+  /// LWW applier reads it.
   virtual bool StampsOriginCommitTime() const { return false; }
+
+  /// `update` cut down to the writes `dest` needs (Routing::Project), or
+  /// nothing when it needs none. When it needs them all this is `update`
+  /// as it is: the one copy a post makes anyway.
+  std::optional<SecondaryUpdate> ProjectFor(SiteId dest, Routing::Scope scope,
+                                            const SecondaryUpdate& update) const;
 
   /// From the origin's commit hook: registers `id`'s propagation to
   /// `targets` replica sites with the metrics, and tells the oracle to

@@ -153,7 +153,6 @@ runtime::Co<void> BackEdgeEngine::HandleBackedgeStart(BackedgeStart start) {
     special.writes = start.writes;
     special.is_special = true;
     special.origin_site = start.origin_site;
-    special.origin_commit_time = start.primary_done_time;
     SiteId next =
         ctx_.routing->tree()->ChildToward(ctx_.site, start.origin_site);
     ctx_.net->Post(ctx_.site, next, ProtocolMessage(std::move(special)));

@@ -59,7 +59,6 @@ class BackEdgeEngine : public DagWtEngine {
  protected:
   runtime::Co<void> ApplySpecial(SecondaryArrival arrival) override;
   const char* ObsProtocol() const override { return "backedge"; }
-  bool StampsOriginCommitTime() const override { return true; }
 
  private:
   /// Origin-site state for a primary waiting on its special

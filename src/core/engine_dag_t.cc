@@ -45,9 +45,11 @@ runtime::Co<Status> DagTEngine::ExecutePrimary(GlobalTxnId id,
     if (writes.empty()) return;
     SecondaryUpdate update = OriginUpdate(id, writes, seq);
     update.ts = site_ts_;
-    for (SiteId child :
-         ctx_.routing->RelevantCopyChildren(ctx_.site, writes)) {
-      PostToChild(child, update);
+    // Each copy child gets the writes it replicates, and only those.
+    for (SiteId child : ctx_.routing->copy_graph().Children(ctx_.site)) {
+      std::optional<SecondaryUpdate> projected =
+          ProjectFor(child, Routing::Scope::kSite, update);
+      if (projected.has_value()) PostToChild(child, std::move(*projected));
     }
   });
   co_return st;

@@ -16,9 +16,11 @@ void DagWtEngine::Start() {
 }
 
 void DagWtEngine::ForwardToRelevantChildren(const SecondaryUpdate& update) {
-  for (SiteId child :
-       ctx_.routing->RelevantTreeChildren(ctx_.site, update.writes)) {
-    ctx_.net->Post(ctx_.site, child, ProtocolMessage(update));
+  for (SiteId child : ctx_.routing->tree()->Children(ctx_.site)) {
+    std::optional<SecondaryUpdate> projected =
+        ProjectFor(child, Routing::Scope::kSubtree, update);
+    if (!projected.has_value()) continue;  // No replica below `child`.
+    ctx_.net->Post(ctx_.site, child, ProtocolMessage(std::move(*projected)));
   }
 }
 

@@ -41,8 +41,9 @@ class DagWtEngine : public ReplicationEngine {
   runtime::Co<Status> CommitLazily(storage::TxnPtr txn, GlobalTxnId id,
                                    const std::vector<WriteRecord>& writes);
 
-  /// Posts `update` to every relevant tree child of this site. Called
-  /// inside commit atomic hooks so forwarding order equals commit order.
+  /// Posts to every relevant tree child of this site the writes of
+  /// `update` replicated in that child's subtree. Called inside commit
+  /// atomic hooks so forwarding order equals commit order.
   void ForwardToRelevantChildren(const SecondaryUpdate& update);
 
   /// Applier hook for a special secondary subtransaction (BackEdge's

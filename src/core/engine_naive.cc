@@ -20,10 +20,14 @@ runtime::Co<Status> NaiveLazyEngine::ExecutePrimary(
   st = co_await ctx_.db->Commit(txn, [&](int64_t seq) {
     if (writes.empty()) return;
     SecondaryUpdate update = OriginUpdate(id, writes, seq);
-    // Indiscriminate: straight to every replica holder.
-    for (SiteId child :
-         ctx_.routing->RelevantCopyChildren(ctx_.site, writes)) {
-      ctx_.net->Post(ctx_.site, child, ProtocolMessage(update));
+    // Indiscriminate: straight to every replica holder, each with the
+    // writes it replicates.
+    for (SiteId child : ctx_.routing->copy_graph().Children(ctx_.site)) {
+      std::optional<SecondaryUpdate> projected =
+          ProjectFor(child, Routing::Scope::kSite, update);
+      if (!projected.has_value()) continue;
+      ctx_.net->Post(ctx_.site, child,
+                     ProtocolMessage(std::move(*projected)));
     }
   });
   co_return st;

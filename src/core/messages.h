@@ -20,7 +20,8 @@ struct WriteRecord {
 
 /// A forwarded secondary subtransaction: the origin transaction's writes,
 /// carried along tree edges (DAG(WT)/BackEdge) or copy-graph edges
-/// (DAG(T)/NaiveLazy).
+/// (DAG(T)/NaiveLazy). A lazy update carries only the writes its
+/// receiver needs (Routing::Project); a special carries them all.
 struct SecondaryUpdate {
   GlobalTxnId origin;
   std::vector<WriteRecord> writes;
@@ -35,10 +36,9 @@ struct SecondaryUpdate {
   bool is_special = false;
   /// Origin site of the transaction (identifies the special's endpoint).
   SiteId origin_site = kInvalidSite;
-  /// When the origin (primary) committed (0 = absent). Read only by
-  /// NaiveLazy's last-writer-wins applier; BackEdge also sets it. Encoded
-  /// behind a flags bit, so the DAG protocols, which leave it 0, ship no
-  /// bytes for it.
+  /// When the origin (primary) committed (0 = absent). Set and read only
+  /// by NaiveLazy's last-writer-wins applier. Encoded behind a flags bit,
+  /// so the protocols that leave it 0 ship no bytes for it.
   SimTime origin_commit_time = 0;
   /// The origin's commit *stamp* (commit_seq + 1; 0 = absent). Only
   /// populated under MVCC consistency levels (docs/MVCC.md): appliers

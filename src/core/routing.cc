@@ -124,28 +124,30 @@ Result<std::shared_ptr<const Routing>> Routing::Build(
                                       placement.replicas[i].end());
   }
 
-  // Subtree replica index for the relevance rule. Bottom-up over the
-  // tree: a site's set is its own replica items plus the union of its
-  // children's sets. Processing sites by decreasing depth makes this one
-  // merge per edge — O(total inserted) — where the naive
-  // per-site-subtree scan was O(sites² × items) on a deep chain.
-  routing->subtree_replicas_.assign(placement.num_sites, {});
-  if (routing->tree_.has_value()) {
-    std::vector<std::vector<ItemId>> replicated_at(placement.num_sites);
-    for (ItemId i = 0; i < placement.num_items; ++i) {
-      for (SiteId s : placement.replicas[i]) replicated_at[s].push_back(i);
+  // Item bitmaps, one row per site. A site's subtree row is its own row
+  // OR its children's subtree rows; deepest sites first makes that one
+  // pass of `words_per_site_` words per tree edge.
+  const size_t words = (static_cast<size_t>(placement.num_items) + 63) / 64;
+  routing->words_per_site_ = words;
+  routing->site_items_.assign(words * placement.num_sites, 0);
+  for (ItemId i = 0; i < placement.num_items; ++i) {
+    for (SiteId s : placement.replicas[i]) {
+      routing->site_items_[words * s + (i >> 6)] |= uint64_t{1} << (i & 63);
     }
+  }
+  if (routing->tree_.has_value()) {
+    const graph::Tree& tree = *routing->tree_;
+    routing->subtree_items_ = routing->site_items_;
     std::vector<SiteId> by_depth(placement.num_sites);
     for (SiteId s = 0; s < placement.num_sites; ++s) by_depth[s] = s;
     std::sort(by_depth.begin(), by_depth.end(), [&](SiteId a, SiteId b) {
-      return routing->tree_->Depth(a) > routing->tree_->Depth(b);
+      return tree.Depth(a) > tree.Depth(b);
     });
     for (SiteId s : by_depth) {
-      std::set<ItemId>& mine = routing->subtree_replicas_[s];
-      mine.insert(replicated_at[s].begin(), replicated_at[s].end());
-      for (SiteId c : routing->tree_->Children(s)) {
-        mine.insert(routing->subtree_replicas_[c].begin(),
-                    routing->subtree_replicas_[c].end());
+      uint64_t* mine = &routing->subtree_items_[words * s];
+      for (SiteId c : tree.Children(s)) {
+        const uint64_t* child = &routing->subtree_items_[words * c];
+        for (size_t w = 0; w < words; ++w) mine[w] |= child[w];
       }
     }
   }
@@ -162,33 +164,23 @@ int Routing::CountReplicaTargets(
   return static_cast<int>(targets.size());
 }
 
-std::vector<SiteId> Routing::RelevantTreeChildren(
-    SiteId site, const std::vector<WriteRecord>& writes) const {
-  LAZYREP_CHECK(tree_.has_value());
-  std::vector<SiteId> out;
-  for (SiteId child : tree_->Children(site)) {
-    const std::set<ItemId>& needed = subtree_replicas_[child];
-    for (const WriteRecord& w : writes) {
-      if (needed.count(w.item) > 0) {
-        out.push_back(child);
-        break;
-      }
-    }
-  }
-  return out;
-}
-
-std::vector<SiteId> Routing::RelevantCopyChildren(
-    SiteId site, const std::vector<WriteRecord>& writes) const {
-  std::set<SiteId> targets;
+size_t Routing::Project(SiteId dest, Scope scope,
+                        const std::vector<WriteRecord>& writes,
+                        std::vector<WriteRecord>* kept) const {
+  LAZYREP_CHECK(scope == Scope::kSite || tree_.has_value())
+      << "a subtree projection needs a tree";
+  const uint64_t* bits =
+      (scope == Scope::kSite ? site_items_ : subtree_items_).data() +
+      words_per_site_ * static_cast<size_t>(dest);
+  size_t needed = 0;
+  for (const WriteRecord& w : writes) needed += Test(bits, w.item) ? 1 : 0;
+  if (needed == 0 || needed == writes.size()) return needed;
+  kept->clear();
+  kept->reserve(needed);
   for (const WriteRecord& w : writes) {
-    for (SiteId s : replica_sites_[w.item]) targets.insert(s);
+    if (Test(bits, w.item)) kept->push_back(w);
   }
-  std::vector<SiteId> out;
-  for (SiteId child : copy_graph_.Children(site)) {
-    if (targets.count(child) > 0) out.push_back(child);
-  }
-  return out;
+  return needed;
 }
 
 std::vector<SiteId> Routing::BackedgeTargets(

@@ -1,6 +1,8 @@
 #ifndef LAZYREP_CORE_ROUTING_H_
 #define LAZYREP_CORE_ROUTING_H_
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <set>
@@ -24,11 +26,21 @@ std::map<graph::Edge, double> EdgeTrafficWeights(
 
 /// Immutable, precomputed routing state shared by every site's engine:
 /// the copy graph, the backedge set and resulting DAG, the propagation
-/// tree, and per-subtree replica indexes used for the "relevant children"
-/// rule (§2: forward a subtransaction to a child only when the child's
-/// subtree holds a replica of an updated item).
+/// tree, and per-site item bitmaps behind the write projection (§2:
+/// forward a subtransaction to a child only when the child's subtree
+/// holds a replica of an updated item — and then only those writes).
 class Routing {
  public:
+  /// Which replicas a destination's projection covers.
+  enum class Scope {
+    /// Replicas anywhere in the destination's tree subtree: DAG(WT) and
+    /// BackEdge's lazy path, where the destination relays on down.
+    kSubtree,
+    /// Replicas at the destination itself: DAG(T) and NaiveLazy, which
+    /// post to every replica site directly.
+    kSite,
+  };
+
   /// Builds routing for `protocol`. Fails with Unsupported when a DAG
   /// protocol is configured on a cyclic copy graph.
   static Result<std::shared_ptr<const Routing>> Build(
@@ -57,16 +69,14 @@ class Routing {
   /// item — the expected number of secondary applications.
   int CountReplicaTargets(const std::vector<WriteRecord>& writes) const;
 
-  /// Tree children of `site` whose subtree holds a replica of an item in
-  /// `writes` (DAG(WT) forwarding rule).
-  std::vector<SiteId> RelevantTreeChildren(
-      SiteId site, const std::vector<WriteRecord>& writes) const;
-
-  /// Copy-graph children of `site` holding a replica of an item in
-  /// `writes` (DAG(T) scheduling rule; for a primary at `site` this is
-  /// every replica site of the write set).
-  std::vector<SiteId> RelevantCopyChildren(
-      SiteId site, const std::vector<WriteRecord>& writes) const;
+  /// Per-destination write projection: how many of `writes` `dest`
+  /// needs under `scope` — those with a replica in its subtree or at it.
+  /// Zero means `dest` gets no message and `writes.size()` that it gets
+  /// `writes` as they are; only for a strict, non-empty subset does
+  /// `*kept` receive the needed writes, in their order in `writes`.
+  size_t Project(SiteId dest, Scope scope,
+                 const std::vector<WriteRecord>& writes,
+                 std::vector<WriteRecord>* kept) const;
 
   /// BackEdge: replica targets of `writes` that are tree ancestors of
   /// `site` — exactly the backedge subtransaction sites, sorted farthest
@@ -76,7 +86,7 @@ class Routing {
 
   /// True when `site` holds a replica (secondary copy) of `item`.
   bool HasReplica(SiteId site, ItemId item) const {
-    return replica_sites_[item].count(site) > 0;
+    return Test(&site_items_[words_per_site_ * site], item);
   }
 
   /// Position of `site` in a fixed topological order of `gdag()` — the
@@ -89,13 +99,23 @@ class Routing {
  private:
   Routing() : copy_graph_(1), gdag_(1) {}
 
+  /// Bit `item` of a bitmap row.
+  static bool Test(const uint64_t* bits, ItemId item) {
+    return ((bits[item >> 6] >> (item & 63)) & 1) != 0;
+  }
+
   graph::Placement placement_;
   graph::CopyGraph copy_graph_;
   graph::CopyGraph gdag_;
   std::vector<graph::Edge> backedges_;
   std::optional<graph::Tree> tree_;
   std::vector<std::set<SiteId>> replica_sites_;       // item -> sites
-  std::vector<std::set<ItemId>> subtree_replicas_;    // site -> items
+  // Item bitmaps, one row of `words_per_site_` words per site: bit `i`
+  // of row `s` is set when item `i` has a replica at `s` (site_items_)
+  // or in `s`'s tree subtree (subtree_items_, tree protocols only).
+  size_t words_per_site_ = 0;
+  std::vector<uint64_t> site_items_;
+  std::vector<uint64_t> subtree_items_;
   std::vector<int> topo_rank_;                        // site -> rank
 
 };

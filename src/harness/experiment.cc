@@ -111,6 +111,7 @@ AggregateResult RunSeeds(core::SystemConfig config, int num_seeds,
     locked_read_throughput.Add(metrics.locked_read_throughput /
                                static_cast<double>(num_sites));
     locked_read_p99.Add(metrics.locked_read_p99_ms);
+    out.checked |= metrics.checked;
     out.all_serializable &= (!metrics.checked || metrics.serializable);
     out.all_converged &= metrics.converged;
     out.all_snapshots_consistent &=

@@ -36,6 +36,9 @@ struct AggregateResult {
   double locked_read_throughput = 0;  // 2PL read-only txns/s per site.
   double locked_read_p99_ms = 0;      // 2PL read-only p99 latency, mean.
   int64_t locked_read_committed = 0;
+  /// The runs' verdicts were checked (`RunMetrics::checked`); when not,
+  /// the `all_*` verdicts below are vacuously true.
+  bool checked = false;
   bool all_serializable = true;
   bool all_converged = true;
   bool all_snapshots_consistent = true;

@@ -56,15 +56,13 @@ INSTANTIATE_TEST_SUITE_P(
 
 // §4.1: a BackEdge transaction without backedge subtransactions runs
 // exactly as in DAG(WT). With no backedges at all the two protocols must
-// produce the same schedule. Only the wire bytes may differ (BackEdge's
-// lazy updates also carry the origin's commit time), so the bandwidth
-// model, which would turn extra bytes into extra delay, is off.
+// produce the same schedule and post the same frames, so the bandwidth
+// model, which turns bytes into delay, stays on.
 TEST(PaperScaleExtras, BackEdgeWithoutBackedgesRunsExactlyAsDagWt) {
   auto run = [](Protocol protocol, uint64_t seed) {
     SystemConfig config = harness::PaperConfig(protocol);
     config.workload.txns_per_thread = 40;
     config.workload.backedge_prob = 0.0;
-    config.costs.net_bandwidth_bytes_per_sec = 0;
     config.seed = seed;
     auto system = System::Create(std::move(config));
     LAZYREP_CHECK(system.ok()) << system.status().ToString();
@@ -77,6 +75,7 @@ TEST(PaperScaleExtras, BackEdgeWithoutBackedgesRunsExactlyAsDagWt) {
     EXPECT_EQ(backedge.committed, dag_wt.committed);
     EXPECT_EQ(backedge.aborted, dag_wt.aborted);
     EXPECT_EQ(backedge.messages, dag_wt.messages);
+    EXPECT_EQ(backedge.bytes, dag_wt.bytes);
     EXPECT_EQ(backedge.workload_elapsed, dag_wt.workload_elapsed);
     EXPECT_EQ(backedge.drain_elapsed, dag_wt.drain_elapsed);
     EXPECT_EQ(backedge.lock_waits, dag_wt.lock_waits);

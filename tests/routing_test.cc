@@ -77,34 +77,110 @@ TEST(RoutingTest, ReplicaSitesAndCounts) {
   EXPECT_FALSE((*r)->HasReplica(0, 0));  // Primary, not replica.
 }
 
-TEST(RoutingTest, RelevantTreeChildrenFollowSubtreeReplicas) {
+// The items of a projection's result: `writes` itself when every write
+// is kept, `kept` for a strict subset, nothing for an empty one.
+std::vector<ItemId> Projected(const Routing& r, SiteId dest,
+                              Routing::Scope scope,
+                              const std::vector<WriteRecord>& writes) {
+  std::vector<WriteRecord> kept;
+  const size_t n = r.Project(dest, scope, writes, &kept);
+  std::vector<ItemId> out;
+  if (n == 0) return out;
+  for (const WriteRecord& w : n == writes.size() ? writes : kept) {
+    out.push_back(w.item);
+  }
+  EXPECT_EQ(out.size(), n);
+  return out;
+}
+
+TEST(RoutingTest, SubtreeProjectionKeepsWritesReplicatedBelow) {
   EngineOptions options;
   auto r = Routing::Build(Example11(), Protocol::kDagWt, options);
   ASSERT_TRUE(r.ok());
-  // Chain 0-1-2. A write of item 0 at site 0 is relevant to child 1
-  // (replicas at 1 and 2, both in child 1's subtree).
-  EXPECT_EQ((*r)->RelevantTreeChildren(0, Writes({0})),
-            (std::vector<SiteId>{1}));
-  // Site 1 forwards item-0 updates on to 2.
-  EXPECT_EQ((*r)->RelevantTreeChildren(1, Writes({0})),
-            (std::vector<SiteId>{2}));
-  // Site 2 is a leaf.
-  EXPECT_TRUE((*r)->RelevantTreeChildren(2, Writes({0})).empty());
-  // Item 1 updates at site 0 are irrelevant everywhere below 0 except
-  // through its own primary site — no, item 1's primary is site 1; a
-  // site-0 transaction cannot write it, but routing still answers.
-  EXPECT_EQ((*r)->RelevantTreeChildren(1, Writes({1})),
-            (std::vector<SiteId>{2}));
+  const Routing& routing = **r;
+  constexpr Routing::Scope kSubtree = Routing::Scope::kSubtree;
+  // Chain 0-1-2. Item 0 has replicas at 1 and 2, both in 1's subtree;
+  // item 1 has its one replica at 2.
+  EXPECT_EQ(Projected(routing, 1, kSubtree, Writes({0})),
+            (std::vector<ItemId>{0}));
+  EXPECT_EQ(Projected(routing, 2, kSubtree, Writes({0, 1})),
+            (std::vector<ItemId>{0, 1}));
+  // Site 0 (the root) holds no replica; its subtree holds both items.
+  EXPECT_EQ(Projected(routing, 0, kSubtree, Writes({1, 0})),
+            (std::vector<ItemId>{1, 0}));
+  // A full projection leaves `kept` alone: the caller posts `writes`.
+  std::vector<WriteRecord> kept = Writes({7});
+  EXPECT_EQ(routing.Project(1, kSubtree, Writes({1, 0}), &kept), 2u);
+  EXPECT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].item, 7);
 }
 
-TEST(RoutingTest, RelevantCopyChildrenAreDirectReplicaHolders) {
+TEST(RoutingTest, SiteProjectionKeepsWritesReplicatedAtTheSite) {
+  // Site 0 writes items 0-3: item 0 replicated at 1 and 3, item 1 at 2,
+  // item 2 at 1 and 2, item 3 nowhere. Items 4 (1 -> 2) and 5 (2 -> 3)
+  // make the copy graph's only topological order, and so the tree, the
+  // chain 0-1-2-3.
+  graph::Placement p;
+  p.num_sites = 4;
+  p.num_items = 6;
+  p.primary = {0, 0, 0, 0, 1, 2};
+  p.replicas = {{1, 3}, {2}, {1, 2}, {}, {2}, {3}};
   EngineOptions options;
-  auto r = Routing::Build(Example11(), Protocol::kDagT, options);
+  for (Protocol protocol : {Protocol::kDagT, Protocol::kDagWt}) {
+    auto r = Routing::Build(p, protocol, options);
+    ASSERT_TRUE(r.ok());
+    const Routing& routing = **r;
+    constexpr Routing::Scope kSite = Routing::Scope::kSite;
+    const std::vector<WriteRecord> writes = Writes({3, 2, 1, 0});
+    // Strict subsets keep the writes' own order, not item order.
+    EXPECT_EQ(Projected(routing, 1, kSite, writes),
+              (std::vector<ItemId>{2, 0}));
+    EXPECT_EQ(Projected(routing, 2, kSite, writes),
+              (std::vector<ItemId>{2, 1}));
+    EXPECT_EQ(Projected(routing, 3, kSite, writes),
+              (std::vector<ItemId>{0}));
+    EXPECT_TRUE(Projected(routing, 0, kSite, writes).empty());
+    EXPECT_TRUE(Projected(routing, 3, kSite, Writes({1, 2, 3})).empty());
+  }
+  // The subtree scope of the same chain widens each site's set by its
+  // descendants'.
+  auto wt = Routing::Build(p, Protocol::kDagWt, options);
+  ASSERT_TRUE(wt.ok());
+  ASSERT_EQ((*wt)->tree()->Parent(3), 2);
+  ASSERT_EQ((*wt)->tree()->Parent(2), 1);
+  EXPECT_EQ(Projected(**wt, 2, Routing::Scope::kSubtree, Writes({3, 2, 1, 0})),
+            (std::vector<ItemId>{2, 1, 0}));
+  EXPECT_EQ(Projected(**wt, 1, Routing::Scope::kSubtree, Writes({3, 2, 1, 0})),
+            (std::vector<ItemId>{2, 1, 0}));
+}
+
+TEST(RoutingTest, ItemBitmapsSpanWordBoundaries) {
+  // 130 items over two sites, every third one replicated at site 1:
+  // the bitmap rows are three words long.
+  graph::Placement p;
+  p.num_sites = 2;
+  p.num_items = 130;
+  p.primary.assign(130, 0);
+  p.replicas.resize(130);
+  std::vector<WriteRecord> writes;
+  std::vector<ItemId> expected;
+  for (ItemId i = 0; i < 130; ++i) {
+    if (i % 3 == 0) {
+      p.replicas[i] = {1};
+      expected.push_back(i);
+    }
+    writes.push_back({i, 0});
+  }
+  EngineOptions options;
+  auto r = Routing::Build(p, Protocol::kDagWt, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->RelevantCopyChildren(0, Writes({0})),
-            (std::vector<SiteId>{1, 2}));
-  EXPECT_EQ((*r)->RelevantCopyChildren(1, Writes({1})),
-            (std::vector<SiteId>{2}));
+  for (ItemId i = 0; i < 130; ++i) {
+    EXPECT_EQ((*r)->HasReplica(1, i), i % 3 == 0) << i;
+    EXPECT_FALSE((*r)->HasReplica(0, i)) << i;
+  }
+  EXPECT_EQ(Projected(**r, 1, Routing::Scope::kSite, writes), expected);
+  EXPECT_EQ(Projected(**r, 1, Routing::Scope::kSubtree, writes), expected);
+  EXPECT_EQ(Projected(**r, 0, Routing::Scope::kSubtree, writes), expected);
 }
 
 TEST(RoutingTest, BackedgeTargetsAreTreeAncestors) {

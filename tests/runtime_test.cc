@@ -394,13 +394,20 @@ struct GoldenRun {
 
 TEST(SimGoldenMetricsTest, RefactorPreservesScheduleBitForBit) {
   // Recaptured after the send-CPU fix (messages now depart only after
-  // the sender's per-message CPU charge, shifting every schedule).
+  // the sender's per-message CPU charge, shifting every schedule), and
+  // again when lazy updates began carrying only the writes their
+  // receiver needs (Routing::Project). That moved only `bytes` for the
+  // DAG protocols (DAG(WT) 17788 -> 7932, DAG(T) 33477 -> 27052); the
+  // same messages go to the same sites in the same order. BackEdge's
+  // shorter frames also move its schedule through the bandwidth model
+  // (committed 810 -> 812, bytes 27352 -> 16464, the latter also
+  // without the origin commit time its frames no longer carry).
   const GoldenRun kGolden[] = {
-      {core::Protocol::kBackEdge, 810, 270, 906, 27352, 1291950400,
-       1291950400, 967, 270},
-      {core::Protocol::kDagWt, 884, 196, 416, 17788, 1058780000, 1068780000,
+      {core::Protocol::kBackEdge, 812, 268, 906, 16464, 1291940400,
+       1291940400, 967, 268},
+      {core::Protocol::kDagWt, 884, 196, 416, 7932, 1058780000, 1068780000,
        923, 196},
-      {core::Protocol::kDagT, 901, 179, 1576, 33477, 1099780000, 1209780000,
+      {core::Protocol::kDagT, 901, 179, 1576, 27052, 1099780000, 1209780000,
        930, 179},
   };
   for (const GoldenRun& golden : kGolden) {

@@ -5,8 +5,8 @@
 // threads runtime. Also pins the setup-cost contract: assembling a
 // large system does zero full O(items) placement scans.
 
+#include <ostream>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -34,14 +34,23 @@ std::string RunTopology(core::Protocol protocol, const std::string& topology,
   return CheckInvariants(config);
 }
 
-using Case = std::pair<core::Protocol, const char*>;
+struct Case {
+  core::Protocol protocol;
+  const char* topology;
+};
+
+// gtest lists a parameter it has no printer for as its raw bytes, which
+// include the address of the topology string; this printer keeps each
+// case's listed name the same from build to build.
+void PrintTo(const Case& c, std::ostream* os) {
+  *os << core::ProtocolName(c.protocol) << " " << c.topology;
+}
 
 class TopologySmoke : public ::testing::TestWithParam<Case> {};
 
 TEST_P(TopologySmoke, RunsCleanAt128Sites) {
-  auto [protocol, topology] = GetParam();
-  EXPECT_EQ(RunTopology(protocol, topology, runtime::RuntimeKind::kSim,
-                        /*txns=*/3),
+  EXPECT_EQ(RunTopology(GetParam().protocol, GetParam().topology,
+                        runtime::RuntimeKind::kSim, /*txns=*/3),
             "");
 }
 
@@ -63,9 +72,9 @@ INSTANTIATE_TEST_SUITE_P(
         Case{core::Protocol::kBackEdge, "fan:128"},
         Case{core::Protocol::kBackEdge, "rand:128,0.10"}),
     [](const auto& info) {
-      std::string name = core::ProtocolName(info.param.first);
+      std::string name = core::ProtocolName(info.param.protocol);
       name += "_";
-      name += info.param.second;
+      name += info.param.topology;
       std::erase_if(name, [](char c) { return !std::isalnum(c); });
       return name;
     });

@@ -18,6 +18,16 @@
 
 using namespace lazyrep;
 
+namespace {
+
+// A verdict line's value: a run with checking off has none.
+const char* Verdict(bool checked, bool ok) {
+  if (!checked) return "unchecked";
+  return ok ? "yes" : "NO";
+}
+
+}  // namespace
+
 int main(int argc, char** argv) {
   harness::CliOptions options;
   if (std::optional<int> exit_code = harness::HandleCommandLine(
@@ -113,10 +123,10 @@ int main(int argc, char** argv) {
                   "consistent %s)\n",
                   static_cast<long long>(metrics.read_committed),
                   metrics.read_p99_ms, metrics.staleness_ms.mean(),
-                  metrics.snapshots_consistent ? "yes" : "NO");
+                  Verdict(metrics.checked, metrics.snapshots_consistent));
     }
     std::printf("serializable    %s\n",
-                metrics.serializable ? "yes" : "NO");
+                Verdict(metrics.checked, metrics.serializable));
     return metrics.serializable && metrics.snapshots_consistent ? 0 : 1;
   }
 
@@ -137,10 +147,10 @@ int main(int argc, char** argv) {
                 "(p99 %.2f ms, staleness %.2f ms, consistent %s)\n",
                 result.read_throughput, result.read_p99_ms,
                 result.staleness_ms,
-                result.all_snapshots_consistent ? "yes" : "NO");
+                Verdict(result.checked, result.all_snapshots_consistent));
   }
   std::printf("serializable    %s\n",
-              result.all_serializable ? "yes" : "NO");
+              Verdict(result.checked, result.all_serializable));
   std::printf("converged       %s\n", result.all_converged ? "yes" : "NO");
   return result.all_serializable && result.all_snapshots_consistent ? 0 : 1;
 }
