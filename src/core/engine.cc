@@ -88,17 +88,24 @@ SecondaryUpdate ReplicationEngine::OriginUpdate(
   return update;
 }
 
+std::vector<WriteRecord> ReplicationEngine::WritesFor(
+    SiteId dest, Routing::Scope scope,
+    const std::vector<WriteRecord>& writes) const {
+  std::vector<WriteRecord> kept;
+  if (ctx_.routing->Project(dest, scope, writes, &kept) == writes.size()) {
+    return writes;
+  }
+  return kept;
+}
+
 std::optional<SecondaryUpdate> ReplicationEngine::ProjectFor(
     SiteId dest, Routing::Scope scope, const SecondaryUpdate& update) const {
-  std::vector<WriteRecord> kept;
-  const size_t needed =
-      ctx_.routing->Project(dest, scope, update.writes, &kept);
-  if (needed == 0) return std::nullopt;
-  if (needed == update.writes.size()) return update;
+  std::vector<WriteRecord> writes = WritesFor(dest, scope, update.writes);
+  if (writes.empty() && scope != Routing::Scope::kPath) return std::nullopt;
   // Every field but the writes, which the projection replaces.
   SecondaryUpdate projected;
   projected.origin = update.origin;
-  projected.writes = std::move(kept);
+  projected.writes = std::move(writes);
   projected.ts = update.ts;
   projected.is_dummy = update.is_dummy;
   projected.is_special = update.is_special;

@@ -199,9 +199,17 @@ class ReplicationEngine {
   /// LWW applier reads it.
   virtual bool StampsOriginCommitTime() const { return false; }
 
-  /// `update` cut down to the writes `dest` needs (Routing::Project), or
-  /// nothing when it needs none. When it needs them all this is `update`
-  /// as it is: the one copy a post makes anyway.
+  /// The writes of `writes` that `dest` needs under `scope`
+  /// (Routing::Project), in their order: a copy of `writes` when it needs
+  /// them all, empty when it needs none.
+  std::vector<WriteRecord> WritesFor(
+      SiteId dest, Routing::Scope scope,
+      const std::vector<WriteRecord>& writes) const;
+
+  /// `update` carrying only the writes `dest` needs (WritesFor), or
+  /// nothing when a lazy `dest` needs none. A path hop
+  /// (`Scope::kPath`) always has a value: it is the special's step
+  /// toward the origin, posted even when it carries no writes.
   std::optional<SecondaryUpdate> ProjectFor(SiteId dest, Routing::Scope scope,
                                             const SecondaryUpdate& update) const;
 

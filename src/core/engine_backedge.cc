@@ -41,8 +41,7 @@ runtime::Co<Status> BackEdgeEngine::ExecutePrimary(
   BackedgeStart start;
   start.origin = id;
   start.origin_site = ctx_.site;
-  start.writes = writes;
-  start.primary_done_time = ctx_.rt->Now();
+  start.writes = WritesFor(farthest, Routing::Scope::kPath, writes);
   ctx_.net->Post(ctx_.site, farthest, ProtocolMessage(std::move(start)));
 
   bool committed = co_await outcome->Wait();
@@ -140,23 +139,14 @@ runtime::Co<bool> BackEdgeEngine::ExecuteProxy(
 }
 
 runtime::Co<void> BackEdgeEngine::HandleBackedgeStart(BackedgeStart start) {
-  bool executed = false;
-  if (tombstones_.count(start.origin) == 0) {
-    executed =
-        co_await ExecuteProxy(start.origin, start.origin_site, start.writes);
-  }
-  if (executed) {
-    // §4.1 step 2: relay the special secondary subtransaction down the
-    // tree toward the origin.
-    SecondaryUpdate special;
-    special.origin = start.origin;
-    special.writes = start.writes;
-    special.is_special = true;
-    special.origin_site = start.origin_site;
-    SiteId next =
-        ctx_.routing->tree()->ChildToward(ctx_.site, start.origin_site);
-    ctx_.net->Post(ctx_.site, next, ProtocolMessage(std::move(special)));
-  }
+  // The farthest target runs its proxy and starts the special, exactly
+  // as a path site runs and relays one.
+  SecondaryUpdate special;
+  special.origin = start.origin;
+  special.writes = std::move(start.writes);
+  special.is_special = true;
+  special.origin_site = start.origin_site;
+  co_await ExecuteSpecialLocally(std::move(special));
   --active_handlers_;
 }
 
@@ -180,10 +170,13 @@ runtime::Co<void> BackEdgeEngine::ExecuteSpecialLocally(SecondaryUpdate update) 
     co_return;
   }
   // Forward without committing (§4.1 step 2); locks stay held until the
-  // 2PC decision.
+  // 2PC decision. The hop carries only the writes replicated on the rest
+  // of the path (`Scope::kPath`); the hop into the origin carries none.
   SiteId next =
       ctx_.routing->tree()->ChildToward(ctx_.site, update.origin_site);
-  ctx_.net->Post(ctx_.site, next, ProtocolMessage(std::move(update)));
+  ctx_.net->Post(
+      ctx_.site, next,
+      ProtocolMessage(*ProjectFor(next, Routing::Scope::kPath, update)));
 }
 
 runtime::Co<void> BackEdgeEngine::CommitPendingPrimary(SecondaryUpdate update) {
@@ -238,7 +231,6 @@ runtime::Co<void> BackEdgeEngine::CommitPendingPrimary(SecondaryUpdate update) {
   TpcDecision decision;
   decision.origin = id;
   decision.commit = true;
-  decision.origin_commit_time = ctx_.rt->Now();
   for (SiteId s : path) {
     ctx_.net->Post(ctx_.site, s, ProtocolMessage(decision));
     ++outstanding_acks_;

@@ -27,13 +27,14 @@ runtime::Co<Status> EagerEngine::ExecutePrimary(GlobalTxnId id,
   vs.all_yes = true;
   vs.done = std::make_shared<runtime::Event>(ctx_.rt);
   std::shared_ptr<runtime::Event> done = vs.done;
-  TpcPrepare prepare;
-  prepare.origin = id;
-  prepare.coordinator = ctx_.site;
-  prepare.writes = writes;
-  prepare.carries_writes = true;
   for (SiteId s : participants) {
-    ctx_.net->Post(ctx_.site, s, ProtocolMessage(prepare));
+    // Each participant gets the writes it replicates, and only those.
+    TpcPrepare prepare;
+    prepare.origin = id;
+    prepare.coordinator = ctx_.site;
+    prepare.writes = WritesFor(s, Routing::Scope::kSite, writes);
+    prepare.carries_writes = true;
+    ctx_.net->Post(ctx_.site, s, ProtocolMessage(std::move(prepare)));
   }
   co_await done->Wait();
   bool all_yes = votes_[id].all_yes;
@@ -49,7 +50,6 @@ runtime::Co<Status> EagerEngine::ExecutePrimary(GlobalTxnId id,
     // A victim-selection race during the commit CPU charge turns the
     // commit into a rollback; flip the decision accordingly.
     decision.commit = st.ok();
-    decision.origin_commit_time = ctx_.rt->Now();
   } else {
     co_await ctx_.db->Abort(txn);
     st = txn->abort_reason().ok()
@@ -88,8 +88,8 @@ runtime::Co<void> EagerEngine::HandlePrepare(SiteId coordinator,
       ctx_.db->Begin(prepare.origin, storage::TxnKind::kRemoteProxy);
   bool ok = true;
   bool applied_any = false;
+  // The prepare carries only this site's writes (ExecutePrimary).
   for (const WriteRecord& w : prepare.writes) {
-    if (!ctx_.routing->HasReplica(ctx_.site, w.item)) continue;
     // Single bounded attempt: a timeout here is how distributed
     // deadlocks surface, and becomes a NO vote.
     storage::LockOutcome lo = co_await ctx_.db->locks().Acquire(

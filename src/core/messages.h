@@ -20,12 +20,16 @@ struct WriteRecord {
 
 /// A forwarded secondary subtransaction: the origin transaction's writes,
 /// carried along tree edges (DAG(WT)/BackEdge) or copy-graph edges
-/// (DAG(T)/NaiveLazy). A lazy update carries only the writes its
-/// receiver needs (Routing::Project); a special carries them all.
+/// (DAG(T)/NaiveLazy). Every update carries only the writes its
+/// receiver needs (Routing::Project): a lazy one those replicated below
+/// or at it, a special those replicated on the rest of its path to the
+/// origin (none on the hop into the origin).
 struct SecondaryUpdate {
   GlobalTxnId origin;
   std::vector<WriteRecord> writes;
-  /// DAG(T): the transaction's timestamp; unused by the other protocols.
+  /// DAG(T): the transaction's timestamp; unused by the other protocols,
+  /// whose empty timestamp costs no wire bytes (it travels behind a
+  /// flags bit).
   Timestamp ts;
   /// DAG(T) §3.3: an empty update that only pushes the receiver's site
   /// timestamp/epoch forward.
@@ -34,7 +38,9 @@ struct SecondaryUpdate {
   /// tree from the farthest backedge site toward the origin; executed but
   /// not committed until the 2PC at the origin.
   bool is_special = false;
-  /// Origin site of the transaction (identifies the special's endpoint).
+  /// Origin site of the transaction (identifies the special's endpoint);
+  /// a DAG(T) dummy's sender. Sent behind a flags bit only when it
+  /// differs from `origin.origin_site`, i.e. on dummies.
   SiteId origin_site = kInvalidSite;
   /// When the origin (primary) committed (0 = absent). Set and read only
   /// by NaiveLazy's last-writer-wins applier. Encoded behind a flags bit,
@@ -50,11 +56,14 @@ struct SecondaryUpdate {
 };
 
 /// BackEdge §4.1 step 1: the first backedge subtransaction, sent directly
-/// from the origin to the farthest backedge site.
+/// from the origin to the farthest backedge site. It carries the writes
+/// replicated on the tree path from that site down to the origin.
 struct BackedgeStart {
   GlobalTxnId origin;
   SiteId origin_site = kInvalidSite;
   std::vector<WriteRecord> writes;
+  /// Unread and left 0 (one wire byte); kept while the codec benchmark
+  /// aggregate-initializes the struct.
   SimTime primary_done_time = 0;
 };
 
@@ -68,7 +77,8 @@ struct BackedgeAbort {
 struct TpcPrepare {
   GlobalTxnId origin;
   SiteId coordinator = kInvalidSite;
-  /// Eager only: the writes to apply at the participant before voting.
+  /// Eager only: the writes to apply at the participant before voting —
+  /// those it replicates.
   std::vector<WriteRecord> writes;
   bool carries_writes = false;
 };
@@ -79,6 +89,8 @@ struct TpcVote {
 struct TpcDecision {
   GlobalTxnId origin;
   bool commit = false;
+  /// Unread and left 0 (one wire byte); kept while the codec benchmark
+  /// aggregate-initializes the struct.
   SimTime origin_commit_time = 0;
 };
 struct TpcAck {

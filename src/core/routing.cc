@@ -150,6 +150,15 @@ Result<std::shared_ptr<const Routing>> Routing::Build(
         for (size_t w = 0; w < words; ++w) mine[w] |= child[w];
       }
     }
+    routing->path_depth_.assign(placement.num_items, -1);
+    for (ItemId i = 0; i < placement.num_items; ++i) {
+      for (SiteId s : placement.replicas[i]) {
+        if (tree.IsAncestor(s, placement.primary[i])) {
+          routing->path_depth_[i] =
+              std::max(routing->path_depth_[i], tree.Depth(s));
+        }
+      }
+    }
   }
   return std::shared_ptr<const Routing>(routing);
 }
@@ -164,23 +173,39 @@ int Routing::CountReplicaTargets(
   return static_cast<int>(targets.size());
 }
 
-size_t Routing::Project(SiteId dest, Scope scope,
-                        const std::vector<WriteRecord>& writes,
-                        std::vector<WriteRecord>* kept) const {
-  LAZYREP_CHECK(scope == Scope::kSite || tree_.has_value())
-      << "a subtree projection needs a tree";
-  const uint64_t* bits =
-      (scope == Scope::kSite ? site_items_ : subtree_items_).data() +
-      words_per_site_ * static_cast<size_t>(dest);
+namespace {
+
+/// Project's 0 / all / subset convention over a per-item predicate.
+template <typename Needs>
+size_t Keep(const std::vector<WriteRecord>& writes,
+            std::vector<WriteRecord>* kept, Needs needs) {
   size_t needed = 0;
-  for (const WriteRecord& w : writes) needed += Test(bits, w.item) ? 1 : 0;
+  for (const WriteRecord& w : writes) needed += needs(w.item) ? 1 : 0;
   if (needed == 0 || needed == writes.size()) return needed;
   kept->clear();
   kept->reserve(needed);
   for (const WriteRecord& w : writes) {
-    if (Test(bits, w.item)) kept->push_back(w);
+    if (needs(w.item)) kept->push_back(w);
   }
   return needed;
+}
+
+}  // namespace
+
+size_t Routing::Project(SiteId dest, Scope scope,
+                        const std::vector<WriteRecord>& writes,
+                        std::vector<WriteRecord>* kept) const {
+  LAZYREP_CHECK(scope == Scope::kSite || tree_.has_value())
+      << "a subtree or path projection needs a tree";
+  if (scope == Scope::kPath) {
+    const int depth = tree_->Depth(dest);
+    return Keep(writes, kept,
+                [&](ItemId item) { return path_depth_[item] >= depth; });
+  }
+  const uint64_t* bits =
+      (scope == Scope::kSite ? site_items_ : subtree_items_).data() +
+      words_per_site_ * static_cast<size_t>(dest);
+  return Keep(writes, kept, [bits](ItemId item) { return Test(bits, item); });
 }
 
 std::vector<SiteId> Routing::BackedgeTargets(

@@ -36,9 +36,15 @@ class Routing {
     /// Replicas anywhere in the destination's tree subtree: DAG(WT) and
     /// BackEdge's lazy path, where the destination relays on down.
     kSubtree,
-    /// Replicas at the destination itself: DAG(T) and NaiveLazy, which
-    /// post to every replica site directly.
+    /// Replicas at the destination itself: DAG(T), NaiveLazy and Eager,
+    /// which post to every replica site directly.
     kSite,
+    /// Replicas on the tree path from the destination down to the
+    /// writes' origin (their primary site), origin excluded: BackEdge's
+    /// eager path (§4.1), where the destination relays the special on
+    /// toward the origin. The destination must lie on the tree path from
+    /// the root to the origin, the origin included (which needs none).
+    kPath,
   };
 
   /// Builds routing for `protocol`. Fails with Unsupported when a DAG
@@ -70,9 +76,11 @@ class Routing {
   int CountReplicaTargets(const std::vector<WriteRecord>& writes) const;
 
   /// Per-destination write projection: how many of `writes` `dest`
-  /// needs under `scope` — those with a replica in its subtree or at it.
-  /// Zero means `dest` gets no message and `writes.size()` that it gets
-  /// `writes` as they are; only for a strict, non-empty subset does
+  /// needs under `scope` — those with a replica in its subtree, at it or
+  /// on its path to the origin.
+  /// Zero means a lazy `dest` gets no message (a path hop goes out
+  /// empty) and `writes.size()` that it gets `writes` as they are; only
+  /// for a strict, non-empty subset does
   /// `*kept` receive the needed writes, in their order in `writes`.
   size_t Project(SiteId dest, Scope scope,
                  const std::vector<WriteRecord>& writes,
@@ -116,6 +124,10 @@ class Routing {
   size_t words_per_site_ = 0;
   std::vector<uint64_t> site_items_;
   std::vector<uint64_t> subtree_items_;
+  // item -> tree depth of its deepest replica that is a tree ancestor of
+  // its primary, -1 when none (tree protocols only). A write lies on the
+  // eager path below `dest` exactly when this reaches `dest`'s depth.
+  std::vector<int> path_depth_;
   std::vector<int> topo_rank_;                        // site -> rank
 
 };

@@ -337,7 +337,7 @@ Status System::Build() {
   // Tracing.
   if (config_.enable_trace) {
     trace_ = std::make_unique<TraceLog>(config_.trace_max_events);
-    network_->SetObserver(
+    network_->AddObserver(
         [this](const ProtocolNetwork::Envelope& env, bool delivered) {
           TraceEvent event;
           event.time = runtime_->Now();

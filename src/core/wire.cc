@@ -60,17 +60,23 @@ struct EncodeVisitor {
 
   void operator()(const SecondaryUpdate& u) const {
     PutTxnId(s, u.origin);
-    s->Signed(u.origin_site);
-    // Optional fields cost zero bytes when absent. Bit 8: an origin
-    // commit time follows (only the protocols whose appliers read it set
-    // it). Bit 4: an origin commit stamp follows (MVCC levels only).
+    // Optional fields cost zero bytes when absent. Bit 16: an origin site
+    // follows (it repeats the txn id's except on DAG(T) dummies). Bit 8:
+    // an origin commit time follows (only the protocols whose appliers
+    // read it set it). Bit 4: an origin commit stamp follows (MVCC levels
+    // only). Bit 32: a timestamp follows (only DAG(T) sets one).
+    const bool site_differs = u.origin_site != u.origin.origin_site;
+    const bool has_ts = u.ts.epoch() != 0 || !u.ts.tuples().empty();
     s->Byte(static_cast<uint8_t>((u.is_dummy ? 1 : 0) |
                                  (u.is_special ? 2 : 0) |
                                  (u.origin_commit_seq != 0 ? 4 : 0) |
-                                 (u.origin_commit_time != 0 ? 8 : 0)));
+                                 (u.origin_commit_time != 0 ? 8 : 0) |
+                                 (site_differs ? 16 : 0) |
+                                 (has_ts ? 32 : 0)));
+    if (site_differs) s->Signed(u.origin_site);
     if (u.origin_commit_time != 0) s->Signed(u.origin_commit_time);
     if (u.origin_commit_seq != 0) s->Signed(u.origin_commit_seq);
-    PutTimestamp(s, u.ts);
+    if (has_ts) PutTimestamp(s, u.ts);
     PutWrites(s, u.writes);
   }
   void operator()(const BackedgeStart& m) const {
@@ -214,13 +220,14 @@ struct Reader {
   SecondaryUpdate Update() {
     SecondaryUpdate u;
     u.origin = TxnId();
-    u.origin_site = static_cast<SiteId>(Signed());
     uint8_t flags = Byte();
     u.is_dummy = (flags & 1) != 0;
     u.is_special = (flags & 2) != 0;
+    u.origin_site = (flags & 16) != 0 ? static_cast<SiteId>(Signed())
+                                      : u.origin.origin_site;
     if ((flags & 8) != 0) u.origin_commit_time = Signed();
     if ((flags & 4) != 0) u.origin_commit_seq = Signed();
-    u.ts = Ts();
+    if ((flags & 32) != 0) u.ts = Ts();
     u.writes = Writes();
     return u;
   }
@@ -371,9 +378,10 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
     case 10: {
       SecondaryBatch batch;
       uint64_t n = r.Varint();
-      // A SecondaryUpdate encodes to >= 7 bytes (6 varints + the flag
-      // byte, each at least one byte).
-      if (r.status.ok() && n > r.MaxCount(7)) {
+      // A SecondaryUpdate encodes to >= 4 bytes (the txn id's two
+      // varints, the flag byte and the write count, each at least one
+      // byte).
+      if (r.status.ok() && n > r.MaxCount(4)) {
         r.status = Status::InvalidArgument("bad batch count");
       }
       for (uint64_t i = 0; i < n && r.status.ok(); ++i) {

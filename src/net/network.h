@@ -142,14 +142,18 @@ class Network : public Transport<T> {
     handlers_[Check(dst)] = std::move(handler);
   }
 
-  /// Optional tracing observer: invoked on every post (`delivered` =
-  /// false, before the delivery is scheduled — so a post event is always
-  /// observed before its deliver event, on every runtime; a fault-hook
-  /// duplicate gets its own post event) and every delivery (`delivered`
-  /// = true, just before the handler runs). Must be internally
-  /// synchronized under `kThreads`.
+  /// Tracing observers: each is invoked, in the order added, on every
+  /// post (`delivered` = false, before the delivery is scheduled — so a
+  /// post event is always observed before its deliver event, on every
+  /// runtime; a fault-hook duplicate gets its own post event) and every
+  /// delivery (`delivered` = true, just before the handler runs). Each
+  /// must be internally synchronized under `kThreads`. Add them before
+  /// traffic starts; one never replaces another (the trace and a test's
+  /// observer both see every message).
   using Observer = std::function<void(const Envelope&, bool delivered)>;
-  void SetObserver(Observer observer) { observer_ = std::move(observer); }
+  void AddObserver(Observer observer) {
+    observers_.push_back(std::move(observer));
+  }
 
   /// Wire-size function for the bandwidth model (e.g. Wire::EncodedSize).
   using Sizer = std::function<size_t(const T&)>;
@@ -408,9 +412,9 @@ class Network : public Transport<T> {
     // immediately under ThreadRuntime, so observing it first would
     // break post/deliver pair matching (WriteChromeTrace). A duplicate
     // counts as its own posted message, so it gets its own post event.
-    if (observer_) {
-      observer_(env, /*delivered=*/false);
-      if (fault.duplicate) observer_(env, /*delivered=*/false);
+    for (const Observer& observer : observers_) {
+      observer(env, /*delivered=*/false);
+      if (fault.duplicate) observer(env, /*delivered=*/false);
     }
     if (fault.duplicate) {
       Envelope copy = env;
@@ -518,7 +522,9 @@ class Network : public Transport<T> {
     Handler& h = handlers_[env.dst];
     LAZYREP_CHECK(h != nullptr)
         << "no handler registered for endpoint " << env.dst;
-    if (observer_) observer_(env, /*delivered=*/true);
+    for (const Observer& observer : observers_) {
+      observer(env, /*delivered=*/true);
+    }
     h(std::move(env));
   }
 
@@ -538,7 +544,7 @@ class Network : public Transport<T> {
   std::vector<std::unordered_map<SiteId, Channel>> channels_;
   SimTime bus_busy_until_ = 0;  // Guarded by mu_.
   std::vector<Handler> handlers_;
-  Observer observer_;
+  std::vector<Observer> observers_;
   Sizer sizer_;
   obs::MetricsRegistry* obs_ = nullptr;
   KindIndexer kind_index_;

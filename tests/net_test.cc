@@ -390,7 +390,7 @@ TEST(NetworkTest, ObserverPostAlwaysPrecedesDeliverUnderThreads) {
   uint64_t posts = 0;
   uint64_t delivers = 0;
   uint64_t violations = 0;
-  net.SetObserver([&](const IntNet::Envelope&, bool delivered) {
+  net.AddObserver([&](const IntNet::Envelope&, bool delivered) {
     std::lock_guard<std::mutex> lock(obs_mu);
     if (delivered) {
       ++delivers;

@@ -121,6 +121,28 @@ TEST(SystemTraceTest, CapturesCommitsAndMessages) {
   }
 }
 
+// An observer added to a traced run sits beside the trace's, not in
+// its place: both see every post and every delivery.
+TEST(SystemTraceTest, ExtraObserverKeepsTheTracesMessageEvents) {
+  auto system = System::Create(TracedConfig(Protocol::kDagWt));
+  ASSERT_TRUE(system.ok());
+  System& sys = **system;
+  uint64_t posts = 0;
+  uint64_t delivers = 0;
+  sys.network().AddObserver(
+      [&](const ProtocolNetwork::Envelope&, bool delivered) {
+        ++(delivered ? delivers : posts);
+      });
+  sys.Run();
+  const uint64_t total = sys.network().Snapshot().total_messages;
+  ASSERT_GT(total, 0u);
+  EXPECT_EQ(posts, total);
+  EXPECT_EQ(delivers, total);
+  const TraceLog& trace = *sys.trace();
+  EXPECT_EQ(trace.OfKind(TraceEvent::Kind::kMsgPost).size(), total);
+  EXPECT_EQ(trace.OfKind(TraceEvent::Kind::kMsgDeliver).size(), total);
+}
+
 TEST(SystemTraceTest, LockWaitsAndTimeoutsTraced) {
   SystemConfig config = TracedConfig(Protocol::kBackEdge);
   config.workload.num_items = 6;  // Hot items force waits.

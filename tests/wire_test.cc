@@ -83,6 +83,43 @@ TEST(WireTest, SecondaryUpdateRoundTrip) {
   ExpectRoundTrip(ProtocolMessage(special));
 }
 
+TEST(WireTest, OptionalHeaderFieldsRoundTrip) {
+  // A DAG(T) dummy names its sender in `origin_site` but carries a
+  // default txn id: the site travels behind flag bit 16.
+  SecondaryUpdate dummy;
+  dummy.is_dummy = true;
+  dummy.origin_site = 4;
+  dummy.ts = Timestamp::Initial(4);
+  ExpectRoundTrip(ProtocolMessage(dummy));
+  Result<ProtocolMessage> back = Wire::Decode(Wire::Encode(dummy));
+  ASSERT_TRUE(back.ok());
+  EXPECT_EQ(std::get<SecondaryUpdate>(*back).origin_site, 4);
+  EXPECT_NE(dummy.origin.origin_site, 4);
+
+  // An epoch with no tuples is a timestamp too (flag bit 32).
+  SecondaryUpdate epoch_only;
+  epoch_only.origin = {1, 2};
+  epoch_only.origin_site = 1;
+  epoch_only.ts.set_epoch(9);
+  ExpectRoundTrip(ProtocolMessage(epoch_only));
+  back = Wire::Decode(Wire::Encode(epoch_only));
+  ASSERT_TRUE(back.ok());
+  const Timestamp& ts = std::get<SecondaryUpdate>(*back).ts;
+  EXPECT_EQ(ts.epoch(), 9);
+  EXPECT_TRUE(ts.tuples().empty());
+
+  // A default update: neither bit set, every field back at its default.
+  ExpectRoundTrip(ProtocolMessage(SecondaryUpdate{}));
+  back = Wire::Decode(Wire::Encode(SecondaryUpdate{}));
+  ASSERT_TRUE(back.ok());
+  const auto& d = std::get<SecondaryUpdate>(*back);
+  EXPECT_EQ(d.origin, GlobalTxnId{});
+  EXPECT_EQ(d.origin_site, SecondaryUpdate{}.origin_site);
+  EXPECT_EQ(d.ts.epoch(), 0);
+  EXPECT_TRUE(d.ts.tuples().empty());
+  EXPECT_TRUE(d.writes.empty());
+}
+
 TEST(WireTest, SecondaryUpdateFieldsSurviveExactly) {
   SecondaryUpdate u = SampleUpdate();
   Result<ProtocolMessage> back = Wire::Decode(Wire::Encode(u));
@@ -173,10 +210,12 @@ TEST(WireTest, ReliableBatchFieldsSurviveExactly) {
 }
 
 TEST(WireTest, BatchOfMinimalUpdatesRoundTrips) {
-  // A default-constructed update is the smallest on the wire: six
-  // one-byte varints plus the flag byte, with no commit time or stamp.
+  // A default-constructed update is the smallest on the wire: the txn
+  // id's two one-byte varints, the flag byte and the write count. Its
+  // origin site repeats the txn id's and its timestamp is empty, so
+  // neither is sent (flag bits 16 and 32), nor a commit time or stamp.
   // The batch decoder's count bound must admit a batch of only those.
-  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(SecondaryUpdate{})), 1u + 7u);
+  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(SecondaryUpdate{})), 1u + 4u);
   SecondaryBatch batch;
   batch.updates.resize(3);
   ExpectRoundTrip(ProtocolMessage(batch));
@@ -186,6 +225,19 @@ TEST(WireTest, SizesAreCompact) {
   // An empty-ish control message stays tiny; a 3-write update is small.
   EXPECT_LE(Wire::EncodedSize(ProtocolMessage(TpcAck{{0, 1}})), 4u);
   EXPECT_LE(Wire::EncodedSize(ProtocolMessage(SampleUpdate())), 64u);
+}
+
+TEST(WireTest, TreeUpdateSendsNoOriginSiteOrTimestamp) {
+  // A DAG(WT)/BackEdge/NaiveLazy update: origin site = the txn id's, no
+  // timestamp. Tag, txn id (1 + 2), flags, write count, two writes
+  // (1 + 1 and 2 + 2): 12 bytes, 3 fewer than when the origin site (1)
+  // and the empty timestamp's epoch and tuple count (1 + 1) went inline.
+  SecondaryUpdate u;
+  u.origin = {2, 300};
+  u.origin_site = 2;
+  u.writes = {{7, 9}, {100, 1000}};
+  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(u)), 12u);
+  ExpectRoundTrip(ProtocolMessage(u));
 }
 
 TEST(WireTest, EncodeToAppendsWithoutClearing) {
@@ -309,6 +361,34 @@ TEST(WireDecodeTest, RejectsOversizedCounts) {
     Wire::PutVarint(&bytes, 0);        // piggyback_ack
     Wire::PutVarint(&bytes, 2);        // count
     Wire::PutVarint(&bytes, 1ull << 50);  // inner length: absurd
+    EXPECT_FALSE(Wire::Decode(bytes).ok());
+  }
+}
+
+TEST(WireDecodeTest, RejectsOversizedCountsBehindFlagBits) {
+  // The timestamp and origin site now follow only when the flags say
+  // so; a hostile count behind those bits is rejected the same way.
+  {
+    // A timestamp (bit 32) claiming 2^40 tuples.
+    std::vector<uint8_t> bytes = {0x00};
+    Wire::PutSigned(&bytes, 1);        // origin.origin_site
+    Wire::PutSigned(&bytes, 2);        // origin.seq
+    bytes.push_back(32);               // flags: a timestamp follows
+    Wire::PutSigned(&bytes, 0);        // ts epoch
+    Wire::PutVarint(&bytes, 1ull << 40);  // ts tuple count: absurd
+    EXPECT_FALSE(Wire::Decode(bytes).ok());
+  }
+  {
+    // An origin site and a timestamp (bits 16 and 32), then an absurd
+    // write count.
+    std::vector<uint8_t> bytes = {0x00};
+    Wire::PutSigned(&bytes, 1);        // origin.origin_site
+    Wire::PutSigned(&bytes, 2);        // origin.seq
+    bytes.push_back(16 | 32);          // flags
+    Wire::PutSigned(&bytes, 4);        // origin_site
+    Wire::PutSigned(&bytes, 3);        // ts epoch
+    Wire::PutVarint(&bytes, 0);        // ts tuple count
+    Wire::PutVarint(&bytes, 1ull << 40);  // write count: absurd
     EXPECT_FALSE(Wire::Decode(bytes).ok());
   }
 }
