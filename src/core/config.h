@@ -194,7 +194,6 @@ struct SystemConfig {
   /// Record a protocol event trace (commits/aborts, messages, lock
   /// waits/timeouts) — see core/trace.h. Debugging aid.
   bool enable_trace = false;
-  size_t trace_max_events = 1 << 20;
   /// Maintain per-site redo WALs.
   bool enable_wal = false;
   /// Per-session read consistency (`--consistency=`, docs/MVCC.md).
@@ -231,8 +230,6 @@ struct SystemConfig {
   /// abort metrics (standard steady-state practice; the paper measured
   /// from a cold start).
   Duration warmup = 0;
-  /// Quiescence-poll period after the workload finishes.
-  Duration quiesce_poll = Millis(10);
   /// Safety cap on virtual time (0 = none); hitting it flags the run.
   Duration max_sim_time = 0;
 

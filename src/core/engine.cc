@@ -84,7 +84,8 @@ SecondaryUpdate ReplicationEngine::OriginUpdate(
   // MVCC levels only: carry the origin's commit stamp so downstream
   // appliers can advance their per-origin applied tracker (RYW).
   if (ctx_.db->mvcc_enabled()) update.origin_commit_seq = seq + 1;
-  RegisterPropagation(id, ctx_.routing->CountReplicaTargets(writes));
+  RegisterPropagation(
+      id, static_cast<int>(ctx_.routing->ReplicaTargets(writes).size()));
   return update;
 }
 
@@ -138,6 +139,73 @@ void ReplicationEngine::NoteSecondaryCommitted(const SecondaryUpdate& update,
     ctx_.db->NoteOriginApplied(update.origin_site, update.origin_commit_seq);
   }
   if (applied) ctx_.metrics->OnSecondaryApplied(update.origin, ctx_.rt->Now());
+}
+
+runtime::Co<void> ReplicationEngine::Counted(runtime::Co<void> handler) {
+  co_await std::move(handler);
+  --handlers_in_flight_;
+}
+
+runtime::Co<bool> ReplicationEngine::CollectVotes(
+    GlobalTxnId id, const std::vector<SiteId>& participants,
+    const std::vector<WriteRecord>* writes) {
+  if (participants.empty()) co_return true;
+  VoteState& vs = votes_[id];
+  vs.outstanding = static_cast<int>(participants.size());
+  vs.done = std::make_shared<runtime::Event>(ctx_.rt);
+  std::shared_ptr<runtime::Event> done = vs.done;
+  for (SiteId s : participants) {
+    TpcPrepare prepare;
+    prepare.origin = id;
+    prepare.coordinator = ctx_.site;
+    if (writes != nullptr) {
+      prepare.writes = WritesFor(s, Routing::Scope::kSite, *writes);
+      prepare.carries_writes = true;
+    }
+    ctx_.net->Post(ctx_.site, s, ProtocolMessage(std::move(prepare)));
+  }
+  co_await done->Wait();
+  co_return votes_.extract(id).mapped().all_yes;
+}
+
+void ReplicationEngine::BroadcastDecision(
+    GlobalTxnId id, bool commit, const std::vector<SiteId>& participants) {
+  TpcDecision decision;
+  decision.origin = id;
+  decision.commit = commit;
+  for (SiteId s : participants) {
+    ctx_.net->Post(ctx_.site, s, ProtocolMessage(decision));
+    ++outstanding_acks_;
+  }
+}
+
+bool ReplicationEngine::OnTpcReply(const ProtocolMessage& msg) {
+  if (const auto* vote = std::get_if<TpcVote>(&msg)) {
+    auto it = votes_.find(vote->origin);
+    LAZYREP_CHECK(it != votes_.end()) << "vote for no pending 2PC";
+    if (!vote->yes) it->second.all_yes = false;
+    if (--it->second.outstanding == 0) it->second.done->Set();
+    return true;
+  }
+  if (std::holds_alternative<TpcAck>(msg)) {
+    --outstanding_acks_;
+    return true;
+  }
+  return false;
+}
+
+runtime::Co<void> ReplicationEngine::FinishPrepared(GlobalTxnId origin,
+                                                    storage::TxnPtr txn,
+                                                    bool commit,
+                                                    bool applied_any) {
+  if (commit) {
+    Status st = co_await ctx_.db->Commit(txn);
+    LAZYREP_CHECK(st.ok()) << st.ToString();
+    if (applied_any) ctx_.metrics->OnSecondaryApplied(origin, ctx_.rt->Now());
+  } else {
+    co_await ctx_.db->Abort(txn);
+  }
+  AckDecision(origin);
 }
 
 obs::Labels ReplicationEngine::ExportApplierObs(const char* protocol,

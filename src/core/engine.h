@@ -2,6 +2,7 @@
 #define LAZYREP_CORE_ENGINE_H_
 
 #include <functional>
+#include <map>
 #include <memory>
 #include <optional>
 #include <vector>
@@ -107,9 +108,13 @@ class ReplicationEngine {
   /// Network delivery for this site.
   virtual void OnMessage(ProtocolNetwork::Envelope env) = 0;
 
-  /// No protocol work pending at this site (queues empty, no proxies, no
-  /// pending coordinations). Dummy/epoch traffic does not count.
-  virtual bool Quiescent() const = 0;
+  /// No protocol work pending at this site: no counted handler in flight
+  /// (SpawnCounted), no 2PC awaiting votes or acks, and ProtocolIdle.
+  /// Dummy/epoch traffic does not count.
+  bool Quiescent() const {
+    return handlers_in_flight_ == 0 && votes_.empty() &&
+           outstanding_acks_ == 0 && ProtocolIdle();
+  }
 
   /// The site just lost its volatile state (fault injection). Engines
   /// with transaction proxies must resolve any that no coroutine will
@@ -130,6 +135,47 @@ class ReplicationEngine {
   SiteId site() const { return ctx_.site; }
 
  protected:
+  /// The engine's part of Quiescent: queues, proxies and pending
+  /// coordinations empty.
+  virtual bool ProtocolIdle() const = 0;
+
+  /// Launches a message handler or proxy rollback, counted in flight
+  /// until it ends. The wrapper awaits `handler` by symmetric transfer,
+  /// so it schedules no event of its own.
+  void SpawnCounted(runtime::Co<void> handler) {
+    ++handlers_in_flight_;
+    ctx_.rt->Spawn(Counted(std::move(handler)));
+  }
+
+  /// 2PC coordinator, phase one: posts one prepare per participant, in
+  /// order, then awaits every vote. True when all voted yes (at once
+  /// when there are none). With `writes`, each prepare carries the
+  /// writes its participant replicates.
+  runtime::Co<bool> CollectVotes(GlobalTxnId id,
+                                 const std::vector<SiteId>& participants,
+                                 const std::vector<WriteRecord>* writes);
+
+  /// 2PC coordinator, phase two: posts the decision to every participant
+  /// and counts each ack as outstanding.
+  void BroadcastDecision(GlobalTxnId id, bool commit,
+                         const std::vector<SiteId>& participants);
+
+  /// A 2PC reply to this coordinator: a `TpcVote` counts toward its
+  /// CollectVotes, a `TpcAck` retires an ack. False for anything else.
+  bool OnTpcReply(const ProtocolMessage& msg);
+
+  /// 2PC participant, decision step: commits the prepared `txn` (which
+  /// cannot fail) or aborts it, notes the secondary when it
+  /// `applied_any`, then acks the coordinator.
+  runtime::Co<void> FinishPrepared(GlobalTxnId origin, storage::TxnPtr txn,
+                                   bool commit, bool applied_any);
+
+  /// Acknowledges `origin`'s 2PC decision to its coordinator.
+  void AckDecision(GlobalTxnId origin) {
+    ctx_.net->Post(ctx_.site, origin.origin_site,
+                   ProtocolMessage(TpcAck{origin}));
+  }
+
   /// The value a committed transaction installs: unique per (txn, op) so
   /// replica-convergence checks compare exact provenance.
   static Value EncodeValue(GlobalTxnId id, int op_index) {
@@ -249,6 +295,19 @@ class ReplicationEngine {
   /// Secondary subtransactions ApplySecondary committed (home-lane-
   /// confined; exported at quiescence).
   uint64_t secondaries_committed_ = 0;
+
+ private:
+  struct VoteState {
+    int outstanding = 0;
+    bool all_yes = true;
+    std::shared_ptr<runtime::Event> done;
+  };
+
+  runtime::Co<void> Counted(runtime::Co<void> handler);
+
+  std::map<GlobalTxnId, VoteState> votes_;
+  int outstanding_acks_ = 0;
+  int handlers_in_flight_ = 0;
 };
 
 /// Factory: builds the engine for `config.protocol` at `ctx.site`.

@@ -72,8 +72,14 @@ void BackEdgeEngine::OnMessage(ProtocolNetwork::Envelope env) {
   if (std::holds_alternative<SecondaryUpdate>(env.payload)) {
     DagWtEngine::OnMessage(std::move(env));
   } else if (auto* start = std::get_if<BackedgeStart>(&env.payload)) {
-    ++active_handlers_;
-    ctx_.rt->Spawn(HandleBackedgeStart(std::move(*start)));
+    // The farthest target runs its proxy and starts the special, exactly
+    // as a path site runs and relays one.
+    SecondaryUpdate special;
+    special.origin = start->origin;
+    special.writes = std::move(start->writes);
+    special.is_special = true;
+    special.origin_site = start->origin_site;
+    SpawnCounted(ExecuteSpecialLocally(std::move(special)));
   } else if (auto* abort = std::get_if<BackedgeAbort>(&env.payload)) {
     if (abort->origin.origin_site == ctx_.site) {
       HandleBackedgeAbortAtOrigin(abort->origin);
@@ -83,24 +89,15 @@ void BackEdgeEngine::OnMessage(ProtocolNetwork::Envelope env) {
   } else if (auto* prepare = std::get_if<TpcPrepare>(&env.payload)) {
     // Participant: the proxy has executed and holds its locks; vote, and
     // pin a yes-voted proxy so victim selection cannot break the promise.
-    TpcVote vote;
-    vote.origin = prepare->origin;
     auto it = proxies_.find(prepare->origin);
-    if (it == proxies_.end() || it->second.txn->abort_requested()) {
-      vote.yes = false;
-    } else {
-      vote.yes = true;
-      it->second.txn->set_pinned(true);
-    }
-    ctx_.net->Post(ctx_.site, env.src, ProtocolMessage(vote));
-  } else if (auto* vote = std::get_if<TpcVote>(&env.payload)) {
-    HandleVote(*vote);
+    const bool yes =
+        it != proxies_.end() && !it->second.txn->abort_requested();
+    if (yes) it->second.txn->set_pinned(true);
+    ctx_.net->Post(ctx_.site, env.src,
+                   ProtocolMessage(TpcVote{prepare->origin, yes}));
   } else if (auto* decision = std::get_if<TpcDecision>(&env.payload)) {
-    ++active_handlers_;
-    ctx_.rt->Spawn(HandleDecision(std::move(*decision)));
-  } else if (std::get_if<TpcAck>(&env.payload) != nullptr) {
-    --outstanding_acks_;
-  } else {
+    SpawnCounted(HandleDecision(std::move(*decision)));
+  } else if (!OnTpcReply(env.payload)) {
     LAZYREP_CHECK(false) << "unexpected message kind for BackEdge";
   }
 }
@@ -136,18 +133,6 @@ runtime::Co<bool> BackEdgeEngine::ExecuteProxy(
   it->second.executing = false;
   it->second.applied_any = applied_any;
   co_return true;
-}
-
-runtime::Co<void> BackEdgeEngine::HandleBackedgeStart(BackedgeStart start) {
-  // The farthest target runs its proxy and starts the special, exactly
-  // as a path site runs and relays one.
-  SecondaryUpdate special;
-  special.origin = start.origin;
-  special.writes = std::move(start.writes);
-  special.is_special = true;
-  special.origin_site = start.origin_site;
-  co_await ExecuteSpecialLocally(std::move(special));
-  --active_handlers_;
 }
 
 runtime::Co<void> BackEdgeEngine::ApplySpecial(SecondaryArrival arrival) {
@@ -192,24 +177,9 @@ runtime::Co<void> BackEdgeEngine::CommitPendingPrimary(SecondaryUpdate update) {
   // selection.
   txn->set_pinned(true);
 
-  // §4.1 step 3: commit Ti and S1..Sj atomically with 2PC.
-  VoteState& vs = votes_[update.origin];
-  vs.outstanding = static_cast<int>(pp.path_sites.size());
-  vs.all_yes = true;
-  vs.done = std::make_shared<runtime::Event>(ctx_.rt);
-  std::shared_ptr<runtime::Event> done = vs.done;
-  TpcPrepare prepare;
-  prepare.origin = update.origin;
-  prepare.coordinator = ctx_.site;
-  for (SiteId s : pp.path_sites) {
-    ctx_.net->Post(ctx_.site, s, ProtocolMessage(prepare));
-  }
-  if (vs.outstanding == 0) done->Set();
-  co_await done->Wait();
-  bool all_yes = votes_[update.origin].all_yes;
-  votes_.erase(update.origin);
-
-  if (!all_yes) {
+  // §4.1 step 3: commit Ti and S1..Sj atomically with 2PC. The proxies
+  // already hold their writes, so the prepares carry none.
+  if (!co_await CollectVotes(update.origin, pp.path_sites, nullptr)) {
     txn->set_pinned(false);
     txn->RequestAbort(
         Status::ExternalAbort("backedge participant voted no"));
@@ -228,13 +198,7 @@ runtime::Co<void> BackEdgeEngine::CommitPendingPrimary(SecondaryUpdate update) {
   // conservative. §4.1 step 4: descendants are updated lazily per DAG(WT).
   Status st = co_await CommitLazily(txn, id, writes);
   LAZYREP_CHECK(st.ok()) << st.ToString();
-  TpcDecision decision;
-  decision.origin = id;
-  decision.commit = true;
-  for (SiteId s : path) {
-    ctx_.net->Post(ctx_.site, s, ProtocolMessage(decision));
-    ++outstanding_acks_;
-  }
+  BroadcastDecision(id, /*commit=*/true, path);
   pending_.erase(id);
   outcome->TryFire(true);
 }
@@ -259,7 +223,7 @@ void BackEdgeEngine::HandleBackedgeAbortAtPathSite(
         Status::ExternalAbort("origin transaction aborted"));
     return;
   }
-  ctx_.rt->Spawn(RollbackProxy(origin, /*tombstone=*/true));
+  SpawnCounted(RollbackProxy(origin, /*tombstone=*/true));
 }
 
 runtime::Co<void> BackEdgeEngine::RollbackProxy(GlobalTxnId origin,
@@ -274,31 +238,17 @@ runtime::Co<void> BackEdgeEngine::RollbackProxy(GlobalTxnId origin,
   }
 }
 
-void BackEdgeEngine::HandleVote(const TpcVote& vote) {
-  auto it = votes_.find(vote.origin);
-  if (it == votes_.end()) return;
-  if (!vote.yes) it->second.all_yes = false;
-  if (--it->second.outstanding == 0) it->second.done->Set();
-}
-
 runtime::Co<void> BackEdgeEngine::HandleDecision(TpcDecision decision) {
   auto it = proxies_.find(decision.origin);
   LAZYREP_CHECK(decision.commit) << "aborts travel as BackedgeAbort";
   LAZYREP_CHECK(it != proxies_.end())
       << "yes-voted proxy must exist at decision time";
-  storage::TxnPtr txn = it->second.txn;
-  bool applied_any = it->second.applied_any;
+  Proxy proxy = it->second;
   proxies_.erase(it);
   // A pinned proxy can still carry a stale abort_requested flag if a
   // victim attempt raced the vote; the global decision wins.
-  Status st = co_await ctx_.db->Commit(txn);
-  LAZYREP_CHECK(st.ok()) << st.ToString();
-  if (applied_any) {
-    ctx_.metrics->OnSecondaryApplied(decision.origin, ctx_.rt->Now());
-  }
-  ctx_.net->Post(ctx_.site, decision.origin.origin_site,
-                 ProtocolMessage(TpcAck{decision.origin}));
-  --active_handlers_;
+  co_await FinishPrepared(decision.origin, proxy.txn, /*commit=*/true,
+                          proxy.applied_any);
 }
 
 void BackEdgeEngine::OnCrash() {
@@ -316,13 +266,12 @@ void BackEdgeEngine::OnCrash() {
     if (!proxy.executing) idle.push_back(origin);
   }
   for (const GlobalTxnId& origin : idle) {
-    ctx_.rt->Spawn(RollbackProxy(origin, /*tombstone=*/true));
+    SpawnCounted(RollbackProxy(origin, /*tombstone=*/true));
   }
 }
 
-bool BackEdgeEngine::Quiescent() const {
-  return DagWtEngine::Quiescent() && pending_.empty() && proxies_.empty() &&
-         votes_.empty() && outstanding_acks_ == 0 && active_handlers_ == 0;
+bool BackEdgeEngine::ProtocolIdle() const {
+  return DagWtEngine::ProtocolIdle() && pending_.empty() && proxies_.empty();
 }
 
 void BackEdgeEngine::ExportObs() {

@@ -45,7 +45,6 @@ class BackEdgeEngine : public DagWtEngine {
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
-  bool Quiescent() const override;
   /// Crash handling: unpinned backedge proxies die with the site
   /// (presumed abort — the origin is notified and broadcasts path
   /// aborts); pinned (yes-voted, prepared) proxies ride through and wait
@@ -57,6 +56,7 @@ class BackEdgeEngine : public DagWtEngine {
   void ExportObs() override;
 
  protected:
+  bool ProtocolIdle() const override;
   runtime::Co<void> ApplySpecial(SecondaryArrival arrival) override;
   const char* ObsProtocol() const override { return "backedge"; }
 
@@ -77,21 +77,14 @@ class BackEdgeEngine : public DagWtEngine {
     bool applied_any = false;
   };
 
-  /// 2PC vote collection at the coordinator.
-  struct VoteState {
-    int outstanding = 0;
-    bool all_yes = true;
-    std::shared_ptr<runtime::Event> done;
-  };
-
   /// Runs a backedge subtransaction proxy for `origin` at this path
   /// site: applies `writes` and keeps the locks for the 2PC decision.
   /// False when the proxy was victimized (and rolled back) on the way.
   runtime::Co<bool> ExecuteProxy(GlobalTxnId origin, SiteId origin_site,
                                  const std::vector<WriteRecord>& writes);
-  runtime::Co<void> HandleBackedgeStart(BackedgeStart start);
-  /// Executes the special at an intermediate/target path site, then
-  /// forwards it toward the origin.
+  /// Executes the special at an intermediate/target path site (the
+  /// farthest target runs the backedge start as one), then forwards it
+  /// toward the origin.
   runtime::Co<void> ExecuteSpecialLocally(SecondaryUpdate update);
   /// Runs the atomic commit (2PC) of a pending primary whose special has
   /// arrived. Called from the applier; blocks it to preserve the local
@@ -100,7 +93,6 @@ class BackEdgeEngine : public DagWtEngine {
   void HandleBackedgeAbortAtOrigin(const GlobalTxnId& origin);
   void HandleBackedgeAbortAtPathSite(const GlobalTxnId& origin);
   runtime::Co<void> RollbackProxy(GlobalTxnId origin, bool tombstone);
-  void HandleVote(const TpcVote& vote);
   runtime::Co<void> HandleDecision(TpcDecision decision);
   /// Victim cleanup at the origin: broadcast aborts along the path and
   /// roll back the local transaction.
@@ -109,11 +101,8 @@ class BackEdgeEngine : public DagWtEngine {
 
   std::map<GlobalTxnId, PendingPrimary> pending_;
   std::map<GlobalTxnId, Proxy> proxies_;
-  std::map<GlobalTxnId, VoteState> votes_;
   /// Origins known aborted: late specials/starts for them are dropped.
   std::set<GlobalTxnId> tombstones_;
-  int outstanding_acks_ = 0;
-  int active_handlers_ = 0;
   uint64_t backedge_txns_ = 0;
 };
 

@@ -164,8 +164,4 @@ runtime::Co<void> DagTEngine::DummySender() {
   }
 }
 
-bool DagTEngine::Quiescent() const {
-  return !applying_real_ && pending_real_ == 0;
-}
-
 }  // namespace lazyrep::core

@@ -36,13 +36,17 @@ class DagTEngine : public ReplicationEngine {
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
-  bool Quiescent() const override;
 
   const Timestamp& site_timestamp() const { return site_ts_; }
   uint64_t dummies_sent() const { return dummies_sent_; }
   uint64_t epoch_bumps() const { return epoch_bumps_; }
 
   void ExportObs() override;
+
+ protected:
+  bool ProtocolIdle() const override {
+    return !applying_real_ && pending_real_ == 0;
+  }
 
  private:
   /// This site's rank in the total site order used inside timestamps.
@@ -62,7 +66,7 @@ class DagTEngine : public ReplicationEngine {
       queues_;
   bool applying_real_ = false;
   /// Queued non-dummy updates across all parent queues, maintained by
-  /// OnMessage/Applier (both home-lane-confined). Makes Quiescent O(1)
+  /// OnMessage/Applier (both home-lane-confined). Makes ProtocolIdle O(1)
   /// instead of a scan over every queued item — the quiesce poll calls
   /// it for all m sites, which at 128 sites with deep queues was itself
   /// a scaling hazard.

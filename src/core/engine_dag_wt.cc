@@ -79,6 +79,4 @@ runtime::Co<void> DagWtEngine::ApplySpecial(SecondaryArrival) {
   co_return;
 }
 
-bool DagWtEngine::Quiescent() const { return inbox_.empty() && !applying_; }
-
 }  // namespace lazyrep::core

@@ -30,11 +30,12 @@ class DagWtEngine : public ReplicationEngine {
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
-  bool Quiescent() const override;
 
   void ExportObs() override;
 
  protected:
+  bool ProtocolIdle() const override { return inbox_.empty() && !applying_; }
+
   /// Commits a primary that needs no eager work and propagates it
   /// lazily: the origin's update goes to the relevant tree children
   /// atomically with the commit.

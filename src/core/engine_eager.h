@@ -2,7 +2,6 @@
 #define LAZYREP_CORE_ENGINE_EAGER_H_
 
 #include <map>
-#include <memory>
 
 #include "core/engine.h"
 
@@ -21,32 +20,25 @@ namespace lazyrep::core {
 /// agrees), but aborts climb quickly with replication.
 class EagerEngine : public ReplicationEngine {
  public:
-  explicit EagerEngine(Context ctx);
+  using ReplicationEngine::ReplicationEngine;
 
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
-  bool Quiescent() const override;
+
+ protected:
+  bool ProtocolIdle() const override { return prepared_.empty(); }
 
  private:
-  struct VoteState {
-    int outstanding = 0;
-    bool all_yes = true;
-    std::shared_ptr<runtime::Event> done;
-  };
-
   runtime::Co<void> HandlePrepare(SiteId coordinator, TpcPrepare prepare);
   runtime::Co<void> HandleDecision(TpcDecision decision);
 
-  std::map<GlobalTxnId, VoteState> votes_;
   /// Participant-side prepared transactions holding replica X locks.
   struct Prepared {
     storage::TxnPtr txn;
     bool applied_any = false;
   };
   std::map<GlobalTxnId, Prepared> prepared_;
-  int active_handlers_ = 0;
-  int outstanding_acks_ = 0;
 };
 
 }  // namespace lazyrep::core

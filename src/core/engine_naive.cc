@@ -79,8 +79,4 @@ runtime::Co<void> NaiveLazyEngine::Applier() {
   }
 }
 
-bool NaiveLazyEngine::Quiescent() const {
-  return inbox_.empty() && !applying_;
-}
-
 }  // namespace lazyrep::core

@@ -27,13 +27,13 @@ class NaiveLazyEngine : public ReplicationEngine {
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
-  bool Quiescent() const override;
 
   uint64_t lww_skipped() const { return lww_skipped_; }
 
  protected:
   /// The LWW reconciliation rule compares origin commit times.
   bool StampsOriginCommitTime() const override { return true; }
+  bool ProtocolIdle() const override { return inbox_.empty() && !applying_; }
 
  private:
   runtime::Co<void> Applier();

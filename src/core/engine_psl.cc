@@ -2,8 +2,6 @@
 
 namespace lazyrep::core {
 
-PslEngine::PslEngine(Context ctx) : ReplicationEngine(std::move(ctx)) {}
-
 runtime::Co<Status> PslEngine::ExecutePrimary(GlobalTxnId id,
                                           const workload::TxnSpec& spec) {
   storage::TxnPtr txn = ctx_.db->Begin(id, storage::TxnKind::kPrimary);
@@ -77,14 +75,13 @@ runtime::Co<Status> PslEngine::RemoteRead(storage::TxnPtr txn, ItemId item,
 
 void PslEngine::OnMessage(ProtocolNetwork::Envelope env) {
   if (auto* request = std::get_if<PslLockRequest>(&env.payload)) {
-    ++active_serves_;
-    ctx_.rt->Spawn(ServeLockRequest(env.src, std::move(*request)));
+    SpawnCounted(ServeLockRequest(env.src, std::move(*request)));
   } else if (auto* response = std::get_if<PslLockResponse>(&env.payload)) {
     auto it = pending_reads_.find(response->request_id);
     LAZYREP_CHECK(it != pending_reads_.end());
     it->second->TryFire(std::move(*response));
   } else if (auto* release = std::get_if<PslRelease>(&env.payload)) {
-    ctx_.rt->Spawn(ReleaseProxy(release->origin, release->committed));
+    SpawnCounted(ReleaseProxy(release->origin, release->committed));
   } else {
     LAZYREP_CHECK(false) << "unexpected message kind for PSL";
   }
@@ -113,7 +110,6 @@ runtime::Co<void> PslEngine::ServeLockRequest(SiteId requester,
     response.value = *v;
   }
   ctx_.net->Post(ctx_.site, requester, ProtocolMessage(response));
-  --active_serves_;
 }
 
 runtime::Co<void> PslEngine::ReleaseProxy(GlobalTxnId origin, bool committed) {
@@ -130,10 +126,6 @@ runtime::Co<void> PslEngine::ReleaseProxy(GlobalTxnId origin, bool committed) {
   } else {
     co_await ctx_.db->Abort(proxy);
   }
-}
-
-bool PslEngine::Quiescent() const {
-  return pending_reads_.empty() && proxies_.empty() && active_serves_ == 0;
 }
 
 }  // namespace lazyrep::core

@@ -25,14 +25,18 @@ namespace lazyrep::core {
 ///    aborts the requesting transaction (global deadlock resolution).
 class PslEngine : public ReplicationEngine {
  public:
-  explicit PslEngine(Context ctx);
+  using ReplicationEngine::ReplicationEngine;
 
   runtime::Co<Status> ExecutePrimary(GlobalTxnId id,
                                  const workload::TxnSpec& spec) override;
   void OnMessage(ProtocolNetwork::Envelope env) override;
-  bool Quiescent() const override;
 
   uint64_t remote_reads() const { return remote_reads_; }
+
+ protected:
+  bool ProtocolIdle() const override {
+    return pending_reads_.empty() && proxies_.empty();
+  }
 
  private:
   runtime::Co<Status> RemoteRead(storage::TxnPtr txn, ItemId item,
@@ -45,7 +49,6 @@ class PslEngine : public ReplicationEngine {
       pending_reads_;
   /// Proxies holding S locks at this (primary) site per remote origin.
   std::map<GlobalTxnId, storage::TxnPtr> proxies_;
-  int active_serves_ = 0;
   uint64_t remote_reads_ = 0;
 };
 

@@ -163,14 +163,16 @@ Result<std::shared_ptr<const Routing>> Routing::Build(
   return std::shared_ptr<const Routing>(routing);
 }
 
-int Routing::CountReplicaTargets(
+std::vector<SiteId> Routing::ReplicaTargets(
     const std::vector<WriteRecord>& writes) const {
-  std::set<SiteId> targets;
+  std::vector<SiteId> targets;
   for (const WriteRecord& w : writes) {
     const auto& sites = replica_sites_[w.item];
-    targets.insert(sites.begin(), sites.end());
+    targets.insert(targets.end(), sites.begin(), sites.end());
   }
-  return static_cast<int>(targets.size());
+  std::sort(targets.begin(), targets.end());
+  targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+  return targets;
 }
 
 namespace {

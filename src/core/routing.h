@@ -66,14 +66,10 @@ class Routing {
   /// ordering checks; absent for protocols that do not need one.
   const std::optional<graph::Tree>& tree() const { return tree_; }
 
-  /// Secondary sites holding a replica of `item`.
-  const std::set<SiteId>& ReplicaSites(ItemId item) const {
-    return replica_sites_[item];
-  }
-
-  /// Number of distinct secondary sites holding a replica of any written
-  /// item — the expected number of secondary applications.
-  int CountReplicaTargets(const std::vector<WriteRecord>& writes) const;
+  /// The distinct secondary sites holding a replica of any written item,
+  /// ascending — the sites a secondary application is expected at.
+  std::vector<SiteId> ReplicaTargets(
+      const std::vector<WriteRecord>& writes) const;
 
   /// Per-destination write projection: how many of `writes` `dest`
   /// needs under `scope` — those with a replica in its subtree, at it or

@@ -17,6 +17,9 @@ namespace lazyrep::core {
 
 namespace {
 
+/// Quiescence-poll period after the workload finishes.
+constexpr Duration kQuiescePoll = Millis(10);
+
 /// Machines are fixed by the workload shape: `sites_per_machine`
 /// co-located sites share one machine (one CPU, one executor thread).
 /// Defensive against not-yet-validated configs — `Build` rejects them.
@@ -336,7 +339,7 @@ Status System::Build() {
 
   // Tracing.
   if (config_.enable_trace) {
-    trace_ = std::make_unique<TraceLog>(config_.trace_max_events);
+    trace_ = std::make_unique<TraceLog>();
     network_->AddObserver(
         [this](const ProtocolNetwork::Envelope& env, bool delivered) {
           TraceEvent event;
@@ -565,7 +568,7 @@ runtime::Co<void> System::QuiesceAndShutdown() {
   co_await workers_done_.Wait();
   workload_elapsed_ = runtime_->Now();
   while (!AllQuiescent()) {
-    co_await runtime_->Delay(config_.quiesce_poll);
+    co_await runtime_->Delay(kQuiescePoll);
   }
   drain_elapsed_ = runtime_->Now();
   drained_ = true;
@@ -671,8 +674,7 @@ void System::RunThreads() {
   // the executors run the workload while this thread blocks on the
   // fan-in, then polls quiescence on wall-clock time.
   const Duration cap = config_.max_sim_time;
-  const auto poll = std::chrono::nanoseconds(
-      std::max<Duration>(config_.quiesce_poll, kMillisecond));
+  const auto poll = std::chrono::nanoseconds(kQuiescePoll);
   auto past_deadline = [&] { return cap > 0 && runtime_->Now() >= cap; };
   // While it waits, this thread replays the commits for the streaming
   // oracle, off the executors' paths.
@@ -931,7 +933,7 @@ void System::DrainPropagation() {
   EnsureStarted();
   int guard = 0;
   while (!AllQuiescent()) {
-    sim.RunUntil(sim.Now() + config_.quiesce_poll);
+    sim.RunUntil(sim.Now() + kQuiescePoll);
     LAZYREP_CHECK(++guard < 1000000) << "propagation never quiesced";
   }
   // Engines stay running (periodic processes included) so further

@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
 #include "core/engine_backedge.h"
 #include "core/engine_dag_t.h"
 #include "core/engine_dag_wt.h"
@@ -58,6 +60,24 @@ TxnSpec ReadThenWrite(ItemId read_item, ItemId write_item) {
   spec.ops.push_back({false, read_item});
   spec.ops.push_back({true, write_item});
   return spec;
+}
+
+// Steps the simulator `steps` times by 1 µs. Once `armed()` holds, every
+// site reading quiescent must have no active transaction: a handler that
+// is still committing or rolling one back counts as work in flight.
+void ExpectQuiescentSitesIdle(System& sys, int steps,
+                              const std::function<bool()>& armed) {
+  const int num_sites = sys.config().workload.num_sites;
+  for (int step = 0; step < steps; ++step) {
+    sys.simulator().RunUntil(sys.simulator().Now() + Micros(1));
+    if (!armed()) continue;
+    for (SiteId s = 0; s < num_sites; ++s) {
+      ASSERT_TRUE(!sys.engine(s).Quiescent() ||
+                  sys.database(s).ActiveTransactions().empty())
+          << "site " << s << " quiescent with an active transaction at t="
+          << sys.simulator().Now();
+    }
+  }
 }
 
 // ------------------------------------------------------------- DAG(WT)
@@ -315,6 +335,33 @@ TEST(BackEdgeScenario, Example41GlobalDeadlockResolvedPerPaper) {
   }
 }
 
+TEST(BackEdgeScenario, ProxyRollbackIsInFlightUntilItsAbortEnds) {
+  // Example 4.1 again: T2's abort reaches its finished proxy at site 0,
+  // which is erased before its rollback runs. Until that rollback ends,
+  // site 0 must not read quiescent.
+  auto system = System::Create(
+      ScriptedConfig(Protocol::kBackEdge, Example41()));
+  ASSERT_TRUE(system.ok());
+  System& sys = **system;
+  sys.StartEngines();
+  Status st1 = Status::Internal("unset"), st2 = Status::Internal("unset");
+  auto launch = [&sys](SiteId site, TxnSpec spec, Status* out) {
+    sys.simulator().Spawn(
+        [](System* s, SiteId at, TxnSpec sp, Status* o) -> sim::Co<void> {
+          *o = co_await s->engine(at).ExecutePrimary(
+              GlobalTxnId{at, 1000}, sp);
+        }(&sys, site, std::move(spec), out));
+  };
+  launch(0, ReadThenWrite(/*read b=*/1, /*write a=*/0), &st1);
+  launch(1, ReadThenWrite(/*read a=*/0, /*write b=*/1), &st2);
+  // The primaries themselves are not engine work; check once both ended.
+  ExpectQuiescentSitesIdle(sys, 200000, [&] {
+    return st1.code() != StatusCode::kInternal &&
+           st2.code() != StatusCode::kInternal;
+  });
+  EXPECT_TRUE(st2.IsAbort()) << st2.ToString();
+}
+
 TEST(BackEdgeScenario, ConcurrentBackedgeTransactionsBothCommit) {
   // Two site-1 transactions with disjoint backedge targets pend at the
   // same time; the applier serializes their specials/2PCs and both
@@ -440,6 +487,20 @@ TEST(PslScenario, RemoteReadLeavesReplicaUntouched) {
   EXPECT_TRUE(sys.CheckHistory().serializable);
   EXPECT_TRUE(engine2.Quiescent());
   EXPECT_TRUE(sys.engine(0).Quiescent());  // Proxy released.
+}
+
+TEST(PslScenario, ProxyReleaseIsInFlightUntilItsCommitEnds) {
+  // Site 2's remote read leaves a proxy at site 0, released once the
+  // reader commits. The release erases the proxy before awaiting its
+  // commit; until that commit ends, site 0 must not read quiescent.
+  auto system = System::Create(
+      ScriptedConfig(Protocol::kPsl, Example11()));
+  ASSERT_TRUE(system.ok());
+  System& sys = **system;
+  TxnSpec read_a;
+  read_a.ops.push_back({false, 0});
+  ASSERT_TRUE(sys.RunOneTransaction(2, read_a).ok());
+  ExpectQuiescentSitesIdle(sys, 20000, [] { return true; });
 }
 
 TEST(PslScenario, LocalReadsNeverContactTheNetwork) {

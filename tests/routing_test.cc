@@ -68,11 +68,10 @@ TEST(RoutingTest, ReplicaSitesAndCounts) {
   EngineOptions options;
   auto r = Routing::Build(Example11(), Protocol::kDagWt, options);
   ASSERT_TRUE(r.ok());
-  EXPECT_EQ((*r)->ReplicaSites(0), (std::set<SiteId>{1, 2}));
-  EXPECT_EQ((*r)->ReplicaSites(1), (std::set<SiteId>{2}));
-  EXPECT_EQ((*r)->CountReplicaTargets(Writes({0})), 2);
-  EXPECT_EQ((*r)->CountReplicaTargets(Writes({0, 1})), 2);  // Union.
-  EXPECT_EQ((*r)->CountReplicaTargets(Writes({1})), 1);
+  EXPECT_EQ((*r)->ReplicaTargets(Writes({0})), (std::vector<SiteId>{1, 2}));
+  EXPECT_EQ((*r)->ReplicaTargets(Writes({0, 1})),  // Union.
+            (std::vector<SiteId>{1, 2}));
+  EXPECT_EQ((*r)->ReplicaTargets(Writes({1})), (std::vector<SiteId>{2}));
   EXPECT_TRUE((*r)->HasReplica(2, 0));
   EXPECT_FALSE((*r)->HasReplica(0, 0));  // Primary, not replica.
 }

@@ -546,6 +546,11 @@ std::vector<std::string> CiLazychkArgs() {
     out.push_back(run + " --topology=chain:64 --txns=5 --seeds=10 --shrink");
     out.push_back(run + " --topology=tree:64,4 --txns=5 --seeds=10 --shrink");
   }
+  for (const char* p : {"psl", "eager"}) {
+    const std::string run = std::string("--protocol=") + p;
+    out.push_back(run + " --seeds=50 --shrink");
+    out.push_back(run + " --seeds=50 --shrink --faults=drop:0.01,dup:0.01");
+  }
   out.push_back(
       "--protocol=backedge --topology=rand:64,0.10 --txns=5 --seeds=10 "
       "--shrink");
