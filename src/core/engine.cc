@@ -108,6 +108,7 @@ std::optional<SecondaryUpdate> ReplicationEngine::ProjectFor(
   projected.origin = update.origin;
   projected.writes = std::move(writes);
   projected.ts = update.ts;
+  projected.ts_shared = update.ts_shared;
   projected.is_dummy = update.is_dummy;
   projected.is_special = update.is_special;
   projected.origin_site = update.origin_site;

@@ -28,6 +28,14 @@ void DagTEngine::Start() {
 
 void DagTEngine::PostToChild(SiteId child, SecondaryUpdate update) {
   last_sent_[child] = ctx_.rt->Now();
+  // Ship only the tuples the channel has not seen: the receiver holds the
+  // previous timestamp sent on it (channels are exactly-once FIFO).
+  Timestamp& sent = sent_ts_[child];
+  const size_t shared = Timestamp::SharedPrefix(sent, update.ts);
+  Timestamp suffix = update.ts.Suffix(shared);
+  sent = std::move(update.ts);
+  update.ts = std::move(suffix);
+  update.ts_shared = static_cast<uint32_t>(shared);
   ctx_.net->Post(ctx_.site, child, ProtocolMessage(std::move(update)));
 }
 
@@ -61,6 +69,11 @@ void DagTEngine::OnMessage(ProtocolNetwork::Envelope env) {
   auto it = queues_.find(env.src);
   LAZYREP_CHECK(it != queues_.end())
       << "message from non-parent site " << env.src;
+  // Rebuild the whole timestamp from the channel's previous one.
+  Timestamp& received = received_ts_[env.src];
+  update->ts = Timestamp::Rebuild(received, update->ts_shared, update->ts);
+  update->ts_shared = 0;
+  received = update->ts;
   if (!update->is_dummy) ++pending_real_;
   it->second->Send(SecondaryArrival{std::move(*update), env.batch_end});
   queue_peak_ = std::max(queue_peak_, it->second->size());

@@ -52,6 +52,9 @@ class DagTEngine : public ReplicationEngine {
   /// This site's rank in the total site order used inside timestamps.
   int Rank() const { return ctx_.routing->TopoRank(ctx_.site); }
 
+  /// The one post path, for primaries and dummies alike: records the
+  /// send time and ships `update.ts` as a delta against the timestamp
+  /// last sent to `child` (`SecondaryUpdate::ts_shared`).
   void PostToChild(SiteId child, SecondaryUpdate update);
   runtime::Co<void> Applier();
   runtime::Co<void> EpochTicker();
@@ -64,6 +67,10 @@ class DagTEngine : public ReplicationEngine {
   /// One queue per copy-graph parent.
   std::map<SiteId, std::unique_ptr<runtime::Mailbox<SecondaryArrival>>>
       queues_;
+  /// The last timestamp received from each parent, which the next delta
+  /// on that channel extends. Channels are exactly-once FIFO, so once a
+  /// channel drains it equals the sender's `sent_ts_` entry for this site.
+  std::map<SiteId, Timestamp> received_ts_;
   bool applying_real_ = false;
   /// Queued non-dummy updates across all parent queues, maintained by
   /// OnMessage/Applier (both home-lane-confined). Makes ProtocolIdle O(1)
@@ -72,6 +79,8 @@ class DagTEngine : public ReplicationEngine {
   /// a scaling hazard.
   int64_t pending_real_ = 0;
   std::map<SiteId, SimTime> last_sent_;
+  /// The last timestamp sent to each child (whole, not the delta).
+  std::map<SiteId, Timestamp> sent_ts_;
   uint64_t dummies_sent_ = 0;
   uint64_t epoch_bumps_ = 0;
   /// High watermark over the per-parent queue lengths (machine-confined;

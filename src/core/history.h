@@ -32,13 +32,13 @@ class HistoryRecorder : public storage::HistoryObserver {
   /// payload; a copy (`Record(r)`) owns heap copies and outlives the
   /// recorder.
   struct Record {
-    SiteId site;
+    SiteId site = kInvalidSite;
     /// MVCC snapshot read-only transaction (never holds locks, never
     /// enters the site's commit order). `commit_seq` is meaningless for
     /// these; visibility is defined by `snapshot_stamp` instead.
     bool snapshot = false;
     GlobalTxnId origin;  // Secondaries/proxies carry their origin's id.
-    int64_t commit_seq;
+    int64_t commit_seq = 0;
     /// Watermark the snapshot read at: commits with commit_seq + 1 <=
     /// stamp (i.e. commit_seq < stamp) are visible, later ones are not.
     int64_t snapshot_stamp = 0;

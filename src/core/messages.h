@@ -29,8 +29,15 @@ struct SecondaryUpdate {
   std::vector<WriteRecord> writes;
   /// DAG(T): the transaction's timestamp; unused by the other protocols,
   /// whose empty timestamp costs no wire bytes (it travels behind a
-  /// flags bit).
+  /// flags bit). On the wire it is a delta (`ts_shared`).
   Timestamp ts;
+  /// DAG(T): how many leading tuples of the timestamp equal those of the
+  /// previous timestamp sent on the same (sender, receiver) channel.
+  /// Between `DagTEngine::PostToChild` and `DagTEngine::OnMessage`, `ts`
+  /// holds only the remaining tuples and the epoch; the receiver
+  /// rebuilds the whole timestamp (`Timestamp::Rebuild`) before queueing
+  /// it. 0 means `ts` is whole, and costs no wire bytes (flags bit 64).
+  uint32_t ts_shared = 0;
   /// DAG(T) §3.3: an empty update that only pushes the receiver's site
   /// timestamp/epoch forward.
   bool is_dummy = false;

@@ -30,6 +30,40 @@ Timestamp Timestamp::ExtendedWith(SiteId site, int64_t lts,
   return out;
 }
 
+Timestamp Timestamp::Suffix(size_t from) const {
+  LAZYREP_CHECK_LE(from, tuples_.size());
+  Timestamp out;
+  for (size_t i = from; i < tuples_.size(); ++i) {
+    out.tuples_.push_back(tuples_[i]);
+  }
+  out.epoch_ = epoch_;
+  return out;
+}
+
+size_t Timestamp::SharedPrefix(const Timestamp& a, const Timestamp& b) {
+  size_t n = std::min(a.tuples_.size(), b.tuples_.size());
+  size_t i = 0;
+  while (i < n && a.tuples_[i] == b.tuples_[i]) ++i;
+  return i;
+}
+
+Timestamp Timestamp::Rebuild(const Timestamp& prev, size_t shared,
+                             const Timestamp& suffix) {
+  LAZYREP_CHECK_LE(shared, prev.tuples_.size())
+      << "shared prefix longer than the channel's previous timestamp";
+  Timestamp out;
+  for (size_t i = 0; i < shared; ++i) out.tuples_.push_back(prev.tuples_[i]);
+  for (const TsTuple& t : suffix.tuples_) {
+    if (!out.tuples_.empty()) {
+      LAZYREP_CHECK_LT(out.tuples_.back().site, t.site)
+          << "rebuilt timestamp must stay sorted by site";
+    }
+    out.tuples_.push_back(t);
+  }
+  out.epoch_ = suffix.epoch_;
+  return out;
+}
+
 int Timestamp::Compare(const Timestamp& a, const Timestamp& b) {
   if (a.epoch_ != b.epoch_) return a.epoch_ < b.epoch_ ? -1 : 1;
   size_t n = std::min(a.tuples_.size(), b.tuples_.size());

@@ -138,6 +138,21 @@ class Timestamp {
   /// this is CHECKed.
   Timestamp ExtendedWith(SiteId site, int64_t lts, int64_t epoch) const;
 
+  /// The tuples from position `from` on, at this timestamp's epoch: what
+  /// a channel ships once its receiver already holds the first `from`
+  /// tuples (see `Rebuild`). CHECKs `from <= tuples().size()`.
+  Timestamp Suffix(size_t from) const;
+
+  /// How many leading tuples `a` and `b` share (epochs are ignored).
+  static size_t SharedPrefix(const Timestamp& a, const Timestamp& b);
+
+  /// Inverse of `Suffix` on a FIFO channel: the first `shared` tuples of
+  /// `prev` (the channel's previous timestamp) followed by `suffix`'s
+  /// tuples, at `suffix`'s epoch. CHECKs that `shared <= prev`'s size and
+  /// that the joined vector stays sorted by site.
+  static Timestamp Rebuild(const Timestamp& prev, size_t shared,
+                           const Timestamp& suffix);
+
   /// Three-way comparison per Definition 3.3 (+ epoch dominance).
   /// Returns <0, 0, >0.
   static int Compare(const Timestamp& a, const Timestamp& b);

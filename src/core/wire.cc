@@ -1,5 +1,7 @@
 #include "core/wire.h"
 
+#include <limits>
+
 namespace lazyrep::core {
 namespace {
 
@@ -64,7 +66,9 @@ struct EncodeVisitor {
     // follows (it repeats the txn id's except on DAG(T) dummies). Bit 8:
     // an origin commit time follows (only the protocols whose appliers
     // read it set it). Bit 4: an origin commit stamp follows (MVCC levels
-    // only). Bit 32: a timestamp follows (only DAG(T) sets one).
+    // only). Bit 32: a timestamp follows (only DAG(T) sets one). Bit 64:
+    // the count of leading tuples the timestamp shares with its channel's
+    // previous one follows (DAG(T) deltas).
     const bool site_differs = u.origin_site != u.origin.origin_site;
     const bool has_ts = u.ts.epoch() != 0 || !u.ts.tuples().empty();
     s->Byte(static_cast<uint8_t>((u.is_dummy ? 1 : 0) |
@@ -72,10 +76,12 @@ struct EncodeVisitor {
                                  (u.origin_commit_seq != 0 ? 4 : 0) |
                                  (u.origin_commit_time != 0 ? 8 : 0) |
                                  (site_differs ? 16 : 0) |
-                                 (has_ts ? 32 : 0)));
+                                 (has_ts ? 32 : 0) |
+                                 (u.ts_shared != 0 ? 64 : 0)));
     if (site_differs) s->Signed(u.origin_site);
     if (u.origin_commit_time != 0) s->Signed(u.origin_commit_time);
     if (u.origin_commit_seq != 0) s->Signed(u.origin_commit_seq);
+    if (u.ts_shared != 0) s->Varint(u.ts_shared);
     if (has_ts) PutTimestamp(s, u.ts);
     PutWrites(s, u.writes);
   }
@@ -217,6 +223,18 @@ struct Reader {
     ts.set_epoch(epoch);
     return ts;
   }
+  /// The shared tuples are not on the wire, so no byte count bounds
+  /// them; a timestamp holds at most one tuple per site, so a count
+  /// beyond the site id range is rejected.
+  uint32_t SharedCount() {
+    uint64_t n = Varint();
+    if (status.ok() &&
+        n > static_cast<uint64_t>(std::numeric_limits<SiteId>::max())) {
+      status = Status::InvalidArgument("bad shared tuple count");
+      return 0;
+    }
+    return static_cast<uint32_t>(n);
+  }
   SecondaryUpdate Update() {
     SecondaryUpdate u;
     u.origin = TxnId();
@@ -227,6 +245,7 @@ struct Reader {
                                       : u.origin.origin_site;
     if ((flags & 8) != 0) u.origin_commit_time = Signed();
     if ((flags & 4) != 0) u.origin_commit_seq = Signed();
+    if ((flags & 64) != 0) u.ts_shared = SharedCount();
     if ((flags & 32) != 0) u.ts = Ts();
     u.writes = Writes();
     return u;

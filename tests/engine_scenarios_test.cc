@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <functional>
+#include <string>
+#include <variant>
+#include <vector>
 
 #include "core/engine_backedge.h"
 #include "core/engine_dag_t.h"
@@ -258,6 +261,68 @@ TEST(DagTScenario, UpdatesGoDirectlyToReplicaSites) {
   EXPECT_GE(sys.network().Snapshot().sent_from[0], 2u);
   EXPECT_EQ(sys.database(2).store().Get(0).value(),
             sys.database(0).store().Get(0).value());
+}
+
+TEST(DagTScenario, DeltaStampsKeepTheMultiParentSchedule) {
+  // §3.3's progress example with traffic on both of site 2's parents:
+  // site 1 forwards stamps (s0,k)(s1,j) that share the (s0,k) prefix with
+  // site 0's (s0,k), so both channels into site 2 carry deltas against
+  // their own previous stamp. Site 2 must end with the site timestamp,
+  // applied order and values of a run that ships whole stamps (captured
+  // before timestamps travelled as deltas).
+  SystemConfig config = ScriptedConfig(Protocol::kDagT, Example11());
+  config.enable_trace = true;
+  auto system = System::Create(std::move(config));
+  ASSERT_TRUE(system.ok());
+  System& sys = **system;
+  // Deltas posted to site 2, per parent: updates, then dummies.
+  int deltas[2][2] = {{0, 0}, {0, 0}};
+  sys.network().AddObserver(
+      [&deltas](const ProtocolNetwork::Envelope& env, bool delivered) {
+        const auto* u = std::get_if<SecondaryUpdate>(&env.payload);
+        if (!delivered && env.dst == 2 && u != nullptr && u->ts_shared > 0) {
+          ++deltas[env.src][u->is_dummy ? 1 : 0];
+        }
+      });
+  // Site 2's timestamp after each round.
+  std::vector<std::string> stamps;
+  for (int round = 0; round < 6; ++round) {
+    ASSERT_TRUE(sys.RunOneTransaction(0, Write({0})).ok());
+    ASSERT_TRUE(sys.RunOneTransaction(1, ReadThenWrite(0, 1)).ok());
+    ASSERT_TRUE(sys.RunOneTransaction(1, ReadThenWrite(0, 1)).ok());
+    ASSERT_TRUE(sys.RunOneTransaction(0, Write({0})).ok());
+    if (round % 2 == 1) sys.DrainPropagation();
+    stamps.push_back(
+        dynamic_cast<DagTEngine&>(sys.engine(2)).site_timestamp().ToString());
+  }
+  sys.DrainPropagation();
+  std::vector<GlobalTxnId> applied;
+  for (const HistoryRecorder::Record& r : sys.history().records()) {
+    if (r.site == 2) applied.push_back(r.origin);
+  }
+  const auto& s2 = dynamic_cast<DagTEngine&>(sys.engine(2));
+  // Both kinds of post took the delta path: site 1's back-to-back
+  // updates share the (s0,k) prefix, and site 0's dummies resend it.
+  EXPECT_GT(deltas[1][0], 0);
+  EXPECT_GT(deltas[0][1], 0);
+  EXPECT_EQ(stamps, (std::vector<std::string>{
+                        "e0:(s1,1)(s2,0)", "e0:(s0,4)(s1,4)(s2,0)",
+                        "e2:(s0,4)(s1,5)(s2,0)", "e2:(s0,8)(s1,8)(s2,0)",
+                        "e4:(s0,8)(s1,9)(s2,0)", "e5:(s0,12)(s1,12)(s2,0)"}));
+  EXPECT_EQ(s2.site_timestamp().ToString(), "e5:(s0,12)(s1,12)(s2,0)");
+  // The order whole stamps give: each site-1 transaction ahead of the
+  // site-0 transaction with the same sequence number.
+  std::vector<GlobalTxnId> expected;
+  for (int64_t k = 0; k < 12; ++k) {
+    expected.push_back({1, k});
+    expected.push_back({0, k});
+  }
+  EXPECT_EQ(applied, expected);
+  EXPECT_EQ(sys.database(2).store().Get(0).value(),
+            sys.database(0).store().Get(0).value());
+  EXPECT_EQ(sys.database(2).store().Get(1).value(),
+            sys.database(1).store().Get(1).value());
+  EXPECT_TRUE(sys.CheckHistory().serializable);
 }
 
 // ------------------------------------------------------------ BackEdge

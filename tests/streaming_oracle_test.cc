@@ -554,6 +554,9 @@ std::vector<std::string> CiLazychkArgs() {
   out.push_back(
       "--protocol=backedge --topology=rand:64,0.10 --txns=5 --seeds=10 "
       "--shrink");
+  out.push_back(
+      "--protocol=dagt --topology=chain:64 --txns=5 --seeds=10 --shrink "
+      "--faults=drop:0.01,dup:0.01,crash:32@100ms+100ms");
   for (const char* w : {"ycsb_a", "smallbank", "tpcc_lite"}) {
     for (const char* p : {"dagwt", "dagt", "backedge"}) {
       const std::string run = std::string("--protocol=") + p +

@@ -227,5 +227,175 @@ TEST(TimestampPropertyTest, SitePrimaryIsSmallerThanLaterSecondaries) {
   }
 }
 
+// Channel deltas (DagTEngine::PostToChild / OnMessage): the sender ships
+// `next.Suffix(shared)` with `shared = SharedPrefix(sent, next)`; the
+// receiver rebuilds from its copy of the channel's previous timestamp.
+struct DeltaChannel {
+  Timestamp sent;      // Sender's copy of the last timestamp posted.
+  Timestamp received;  // Receiver's copy of the last timestamp rebuilt.
+
+  Timestamp Ship(const Timestamp& next) {
+    const size_t shared = Timestamp::SharedPrefix(sent, next);
+    EXPECT_LE(shared, std::min(sent.tuples().size(), next.tuples().size()));
+    Timestamp suffix = next.Suffix(shared);
+    EXPECT_EQ(suffix.tuples().size(), next.tuples().size() - shared);
+    EXPECT_EQ(suffix.epoch(), next.epoch());
+    sent = next;
+    received = Timestamp::Rebuild(received, shared, suffix);
+    return received;
+  }
+};
+
+// The next stamp on a channel, drawn from the cases DAG(T) produces and
+// a few it never does: equal (a dummy resending the site timestamp), an
+// epoch-only change, a bumped last tuple, a longer or shorter vector, a
+// rewritten tail, or an unrelated stamp.
+Timestamp NextStamp(Rng* rng, const Timestamp& prev) {
+  const size_t n = prev.tuples().size();
+  switch (rng->Below(7)) {
+    case 0:
+      return prev;
+    case 1: {
+      Timestamp out = prev;
+      out.set_epoch(prev.epoch() + 1);
+      return out;
+    }
+    case 2: {
+      if (n == 0) break;
+      Timestamp out = prev.Suffix(0);
+      out.BumpOwnLts();
+      return out;
+    }
+    case 3: {
+      int site = n == 0 ? 0 : prev.tuples().back().site + 1;
+      return prev.ExtendedWith(site + static_cast<int>(rng->Below(3)),
+                               static_cast<int64_t>(rng->Below(4)),
+                               prev.epoch());
+    }
+    case 4: {
+      // A proper prefix of the previous stamp.
+      Timestamp out;
+      out.set_epoch(prev.epoch());
+      size_t keep = n == 0 ? 0 : rng->Below(n);
+      for (size_t i = 0; i < keep; ++i) {
+        out = out.ExtendedWith(prev.tuples()[i].site, prev.tuples()[i].lts,
+                               prev.epoch());
+      }
+      return out;
+    }
+    case 5: {
+      // Keep a prefix, then a fresh tail of higher sites.
+      size_t keep = n == 0 ? 0 : rng->Below(n + 1);
+      Timestamp out;
+      out.set_epoch(prev.epoch());
+      for (size_t i = 0; i < keep; ++i) {
+        out = out.ExtendedWith(prev.tuples()[i].site, prev.tuples()[i].lts,
+                               prev.epoch());
+      }
+      int site = keep == 0 ? 0 : out.tuples().back().site + 1;
+      int len = static_cast<int>(rng->Below(4));
+      for (int i = 0; i < len; ++i) {
+        site += static_cast<int>(rng->Below(2));
+        out = out.ExtendedWith(site++, static_cast<int64_t>(rng->Below(9)),
+                               prev.epoch());
+      }
+      return out;
+    }
+    default:
+      break;
+  }
+  return RandomTimestamp(rng, 12);
+}
+
+TEST(TimestampDeltaTest, FirstMessageOnAChannelShipsWhole) {
+  DeltaChannel ch;
+  Timestamp first = Ts({{0, 3}, {2, 1}, {5, 7}}, /*epoch=*/2);
+  EXPECT_EQ(Timestamp::SharedPrefix(ch.sent, first), 0u);
+  EXPECT_EQ(first.Suffix(0).tuples(), first.tuples());
+  Timestamp got = ch.Ship(first);
+  EXPECT_EQ(got.tuples(), first.tuples());
+  EXPECT_EQ(got.epoch(), 2);
+}
+
+TEST(TimestampDeltaTest, EqualAndEpochOnlyStampsShipNoTuples) {
+  DeltaChannel ch;
+  Timestamp stamp = Ts({{0, 3}, {2, 1}}, /*epoch=*/4);
+  ch.Ship(stamp);
+  // A dummy resending the same site timestamp.
+  EXPECT_EQ(Timestamp::SharedPrefix(stamp, stamp), 2u);
+  EXPECT_TRUE(stamp.Suffix(2).tuples().empty());
+  EXPECT_EQ(ch.Ship(stamp).tuples(), stamp.tuples());
+  // The source advanced its epoch: no tuple changed.
+  Timestamp bumped = stamp;
+  bumped.set_epoch(5);
+  Timestamp got = ch.Ship(bumped);
+  EXPECT_EQ(got.tuples(), stamp.tuples());
+  EXPECT_EQ(got.epoch(), 5);
+}
+
+TEST(TimestampDeltaTest, ShorterVectorRebuildsFromThePrefixAlone) {
+  DeltaChannel ch;
+  ch.Ship(Ts({{0, 1}, {1, 1}, {3, 0}}));
+  Timestamp shorter = Ts({{0, 1}, {1, 1}});
+  EXPECT_EQ(Timestamp::SharedPrefix(ch.sent, shorter), 2u);
+  EXPECT_EQ(ch.Ship(shorter).tuples(), shorter.tuples());
+  Timestamp other = Ts({{0, 2}, {3, 0}});
+  EXPECT_EQ(ch.Ship(other).tuples(), other.tuples());
+}
+
+TEST(TimestampDeltaTest, RandomSequencesRebuildExactly) {
+  Rng rng(2026);
+  for (int trial = 0; trial < 200; ++trial) {
+    DeltaChannel ch;
+    Timestamp next = RandomTimestamp(&rng, 12);
+    for (int step = 0; step < 40; ++step) {
+      Timestamp got = ch.Ship(next);
+      ASSERT_EQ(got.tuples(), next.tuples())
+          << "trial " << trial << " step " << step << ": "
+          << got.ToString() << " rebuilt for " << next.ToString();
+      ASSERT_EQ(got.epoch(), next.epoch());
+      next = NextStamp(&rng, next);
+    }
+  }
+}
+
+TEST(TimestampDeltaTest, MultiParentSiteKeepsOneStatePerParent) {
+  // Site 3's parents 1 and 2 both descend from source 0, so their stamps
+  // share the (s0, k) prefix with each other but differ after it. Each
+  // channel must rebuild against its own previous stamp; rebuilding
+  // against the other parent's would go wrong.
+  Rng rng(7);
+  DeltaChannel from1;
+  DeltaChannel from2;
+  bool cross_state_differs = false;
+  int64_t k = 1;
+  int64_t l1 = 0;
+  int64_t l2 = 0;
+  for (int step = 0; step < 300; ++step) {
+    if (rng.Below(3) == 0) ++k;
+    const bool one = rng.Below(2) == 0;
+    DeltaChannel& ch = one ? from1 : from2;
+    DeltaChannel& other = one ? from2 : from1;
+    int64_t& lts = one ? l1 : l2;
+    if (rng.Below(2) == 0) ++lts;
+    Timestamp next = Ts({{0, k}, {one ? 1 : 2, lts}});
+    const size_t shared = Timestamp::SharedPrefix(ch.sent, next);
+    if (shared <= other.received.tuples().size()) {
+      Timestamp wrong =
+          Timestamp::Rebuild(other.received, shared, next.Suffix(shared));
+      cross_state_differs |= !(wrong.tuples() == next.tuples());
+    }
+    ASSERT_EQ(ch.Ship(next).tuples(), next.tuples()) << "step " << step;
+  }
+  EXPECT_TRUE(cross_state_differs);
+}
+
+TEST(TimestampDeltaDeathTest, RebuildChecksCountAndOrder) {
+  Timestamp prev = Ts({{0, 1}, {2, 1}});
+  EXPECT_DEATH(Timestamp::Rebuild(prev, 3, Timestamp()), "");
+  // (s0,1)(s2,1) then (s1,5): the join is not sorted by site.
+  EXPECT_DEATH(Timestamp::Rebuild(prev, 2, Ts({{1, 5}})), "");
+}
+
 }  // namespace
 }  // namespace lazyrep::core

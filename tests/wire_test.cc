@@ -240,6 +240,41 @@ TEST(WireTest, TreeUpdateSendsNoOriginSiteOrTimestamp) {
   ExpectRoundTrip(ProtocolMessage(u));
 }
 
+TEST(WireTest, TimestampDeltaTravelsBehindFlag64) {
+  // A DAG(T) dummy resending its channel's previous timestamp at epoch 0:
+  // every tuple is shared, so the suffix is empty and bit 32 stays clear;
+  // only bit 64 and the shared count (one byte) go out.
+  SecondaryUpdate dummy;
+  dummy.is_dummy = true;
+  dummy.origin_site = 4;
+  dummy.ts_shared = 3;
+  ExpectRoundTrip(ProtocolMessage(dummy));
+  std::vector<uint8_t> bytes = Wire::Encode(dummy);
+  SecondaryUpdate whole = dummy;
+  whole.ts_shared = 0;
+  EXPECT_EQ(bytes.size(), Wire::EncodedSize(ProtocolMessage(whole)) + 1);
+  Result<ProtocolMessage> back = Wire::Decode(bytes);
+  ASSERT_TRUE(back.ok()) << back.status().ToString();
+  const auto& d = std::get<SecondaryUpdate>(*back);
+  EXPECT_EQ(d.ts_shared, 3u);
+  EXPECT_EQ(d.ts.epoch(), 0);
+  EXPECT_TRUE(d.ts.tuples().empty());
+  EXPECT_TRUE(d.is_dummy);
+  EXPECT_EQ(d.origin_site, 4);
+
+  // A real update with a shared prefix, a suffix and an epoch.
+  SecondaryUpdate u = SampleUpdate();
+  u.ts = u.ts.Suffix(1);
+  u.ts_shared = 1;
+  ExpectRoundTrip(ProtocolMessage(u));
+  back = Wire::Decode(Wire::Encode(u));
+  ASSERT_TRUE(back.ok());
+  const auto& r = std::get<SecondaryUpdate>(*back);
+  EXPECT_EQ(r.ts_shared, 1u);
+  EXPECT_EQ(r.ts.tuples(), u.ts.tuples());
+  EXPECT_EQ(r.ts.epoch(), 4);
+}
+
 TEST(WireTest, EncodeToAppendsWithoutClearing) {
   // The allocation-free path: EncodeTo appends to whatever is already
   // in the buffer (ReliableTransport reuses a per-channel scratch this
@@ -391,6 +426,29 @@ TEST(WireDecodeTest, RejectsOversizedCountsBehindFlagBits) {
     Wire::PutVarint(&bytes, 1ull << 40);  // write count: absurd
     EXPECT_FALSE(Wire::Decode(bytes).ok());
   }
+}
+
+TEST(WireDecodeTest, RejectsHostileSharedCount) {
+  // The shared tuples are not on the wire, so the count behind bit 64 is
+  // bounded by the site id range instead of by the bytes left.
+  auto with_shared = [](uint64_t shared) {
+    std::vector<uint8_t> bytes = {0x00};
+    Wire::PutSigned(&bytes, 1);        // origin.origin_site
+    Wire::PutSigned(&bytes, 2);        // origin.seq
+    bytes.push_back(64);               // flags: a shared count follows
+    Wire::PutVarint(&bytes, shared);
+    Wire::PutVarint(&bytes, 0);        // write count
+    return bytes;
+  };
+  EXPECT_FALSE(Wire::Decode(with_shared(1ull << 40)).ok());
+  EXPECT_FALSE(Wire::Decode(with_shared(1ull << 31)).ok());
+  Result<ProtocolMessage> ok = Wire::Decode(with_shared((1ull << 31) - 1));
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(std::get<SecondaryUpdate>(*ok).ts_shared, (1u << 31) - 1);
+  // Truncated inside the count.
+  std::vector<uint8_t> cut = with_shared(1ull << 20);
+  cut.resize(cut.size() - 2);
+  EXPECT_FALSE(Wire::Decode(cut).ok());
 }
 
 TEST(WireDecodeTest, RandomByteFuzz) {

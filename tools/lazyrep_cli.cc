@@ -140,6 +140,8 @@ int main(int argc, char** argv) {
               result.propagation_ms);
   std::printf("messages        %.2f per transaction\n",
               result.messages_per_txn);
+  std::printf("bytes           %.2f per message\n",
+              result.bytes_per_message);
   std::printf("committed       %lld over %d run(s)\n",
               static_cast<long long>(result.committed), result.runs);
   if (result.read_committed > 0) {
