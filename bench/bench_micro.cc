@@ -4,27 +4,19 @@
 
 #include <benchmark/benchmark.h>
 
-#include <atomic>
 #include <cstring>
+#include <map>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.h"
 #include "core/history.h"
-#include "core/messages.h"
 #include "core/streaming_oracle.h"
 #include "core/timestamp.h"
-#include "core/wire.h"
 #include "graph/copy_graph.h"
 #include "graph/feedback_arc_set.h"
 #include "graph/tree.h"
-#include "net/network.h"
-#include "obs/registry.h"
-#include "runtime/sim_runtime.h"
-#include "runtime/thread_runtime.h"
 #include "sim/simulator.h"
-#include "storage/lock_manager.h"
 #include "workload/generator.h"
 
 namespace lazyrep {
@@ -66,29 +58,6 @@ void BM_SimulatorEventLoop(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_SimulatorEventLoop)->Arg(10000);
-
-void BM_LockAcquireRelease(benchmark::State& state) {
-  for (auto _ : state) {
-    state.PauseTiming();
-    runtime::SimRuntime rt;
-    storage::LockManager locks(&rt, {});
-    auto txn = std::make_shared<storage::Transaction>(
-        GlobalTxnId{0, 1}, storage::TxnKind::kPrimary, 0, 0);
-    int64_t n = state.range(0);
-    state.ResumeTiming();
-    rt.Spawn([](storage::LockManager* lm, storage::TxnPtr t,
-                int64_t count) -> runtime::Co<void> {
-      for (int64_t i = 0; i < count; ++i) {
-        (void)co_await lm->Acquire(t.get(), static_cast<ItemId>(i % 64),
-                                   storage::LockMode::kExclusive);
-        lm->ReleaseAll(t.get());
-      }
-    }(&locks, txn, n));
-    rt.simulator()->Run();
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_LockAcquireRelease)->Arg(10000);
 
 void BM_PlacementAndCopyGraph(benchmark::State& state) {
   workload::Params params;
@@ -139,18 +108,8 @@ void SyntheticHistory(int64_t n, core::HistoryRecorder* recorder) {
   }
 }
 
-void BM_SerializabilityCheck(benchmark::State& state) {
-  core::HistoryRecorder recorder;
-  SyntheticHistory(state.range(0), &recorder);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::CheckSerializability(recorder));
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_SerializabilityCheck)->Arg(1000)->Arg(10000);
-
 void BM_StreamingOracle(benchmark::State& state) {
-  // The same history fed record by record, as commits would arrive.
+  // The synthetic history fed record by record, as commits would arrive.
   core::HistoryRecorder recorder;
   SyntheticHistory(state.range(0), &recorder);
   for (auto _ : state) {
@@ -181,130 +140,6 @@ void BM_TreeBuild(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TreeBuild)->Arg(15);
-
-// ---- message hot path (wire codec, network bookkeeping, executor
-// injection) — the BENCH_hotpath.json cases -----------------------------
-
-/// A representative DAG(T) secondary: 3 writes, a 3-tuple timestamp —
-/// the payload shape that dominates Table 1 traffic.
-core::ProtocolMessage SampleSecondary() {
-  core::SecondaryUpdate u;
-  u.origin = GlobalTxnId{3, 12345};
-  u.origin_site = 3;
-  u.origin_commit_time = Millis(123.456);
-  u.writes = {{7, 111}, {42, -5}, {199, int64_t{1} << 30}};
-  u.ts = core::Timestamp::Initial(0).ExtendedWith(2, 9, 0).ExtendedWith(
-      5, 1, 0);
-  return u;
-}
-
-void BM_WireEncode(benchmark::State& state) {
-  core::ProtocolMessage msg = SampleSecondary();
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Wire::Encode(msg));
-  }
-}
-BENCHMARK(BM_WireEncode);
-
-void BM_WireEncodeReliableFrame(benchmark::State& state) {
-  // The ReliableTransport send path: encode the inner message, wrap it
-  // in a sequenced ReliableData frame, encode the frame for the wire.
-  core::ProtocolMessage msg = SampleSecondary();
-  for (auto _ : state) {
-    core::ReliableData data;
-    data.seq = 42;
-    data.inner = core::Wire::Encode(msg);
-    benchmark::DoNotOptimize(
-        core::Wire::Encode(core::ProtocolMessage(std::move(data))));
-  }
-}
-BENCHMARK(BM_WireEncodeReliableFrame);
-
-void BM_WireDecode(benchmark::State& state) {
-  std::vector<uint8_t> bytes = core::Wire::Encode(SampleSecondary());
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Wire::Decode(bytes));
-  }
-}
-BENCHMARK(BM_WireDecode);
-
-void BM_WireDecodeReliableData(benchmark::State& state) {
-  core::ReliableData data;
-  data.seq = 42;
-  data.inner = core::Wire::Encode(SampleSecondary());
-  std::vector<uint8_t> bytes =
-      core::Wire::Encode(core::ProtocolMessage(std::move(data)));
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(core::Wire::Decode(bytes));
-  }
-}
-BENCHMARK(BM_WireDecodeReliableData);
-
-void BM_NetworkPostDeliver(benchmark::State& state) {
-  // Full Post -> Dispatch -> Deliver -> handler path under SimRuntime
-  // with the production configuration: sizer, per-kind metrics, jitter
-  // and point-to-point bandwidth (the per-channel link path).
-  using Net = net::Network<core::ProtocolMessage>;
-  const int64_t n = state.range(0);
-  core::ProtocolMessage msg = SampleSecondary();
-  for (auto _ : state) {
-    state.PauseTiming();
-    runtime::SimRuntime rt;
-    obs::MetricsRegistry registry;
-    Net::Config cfg;
-    cfg.jitter = Micros(20);
-    cfg.bandwidth_bytes_per_sec = 1250000;
-    cfg.shared_medium = false;
-    Net net(&rt, 4, cfg, {nullptr, nullptr, nullptr, nullptr}, Rng(1));
-    net.SetSizer([](const core::ProtocolMessage& m) {
-      return core::Wire::EncodedSize(m);
-    });
-    net.SetMetrics(&registry, core::kNumMessageMetricKinds,
-                   core::MessageMetricKind, [](int kind) {
-                     return std::string(core::MessageMetricKindName(kind));
-                   });
-    int64_t handled = 0;
-    net.SetHandler(3, [&handled](Net::Envelope) { ++handled; });
-    state.ResumeTiming();
-    for (int64_t i = 0; i < n; ++i) {
-      net.Post(static_cast<SiteId>(i % 3), 3, msg);
-    }
-    rt.simulator()->Run();
-    benchmark::DoNotOptimize(handled);
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-BENCHMARK(BM_NetworkPostDeliver)->Arg(4096);
-
-void BM_CrossMachineEnqueue(benchmark::State& state) {
-  // ThreadRuntime cross-machine scheduling: machine 0 floods machine 1
-  // with timed callbacks (the network-delivery pattern) while machine
-  // 1's run loop drains them.
-  const int64_t n = state.range(0);
-  for (auto _ : state) {
-    state.PauseTiming();
-    runtime::ThreadRuntime rt(2);
-    std::atomic<int64_t> delivered{0};
-    rt.Start();
-    state.ResumeTiming();
-    rt.ScheduleCallbackOn(0, 0, [&rt, &delivered, n] {
-      for (int64_t i = 0; i < n; ++i) {
-        rt.ScheduleCallbackAtOn(1, rt.Now(), [&delivered] {
-          delivered.fetch_add(1, std::memory_order_relaxed);
-        });
-      }
-    });
-    while (delivered.load(std::memory_order_acquire) < n) {
-      std::this_thread::yield();
-    }
-    state.PauseTiming();
-    rt.Shutdown();
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * n);
-}
-// Wall-clock: the work happens on the executor threads, not the driver.
-BENCHMARK(BM_CrossMachineEnqueue)->Arg(20000)->UseRealTime();
 
 }  // namespace
 }  // namespace lazyrep

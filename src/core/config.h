@@ -87,8 +87,6 @@ struct CostModel {
   /// 1.25e6); transmission time uses real encoded message sizes
   /// (core/wire.h). 0 disables the bandwidth model.
   uint64_t net_bandwidth_bytes_per_sec = 1250000;
-  /// true: one shared half-duplex segment, as 1990s ethernet was.
-  bool net_shared_medium = true;
   /// Latency between co-located sites (loopback TCP, off the wire).
   Duration loopback_latency = Micros(50);
   /// When false, no machine CPU is modelled (pure latency/lock study).
@@ -136,17 +134,15 @@ struct EngineOptions {
 struct BatchingOptions {
   /// Flush lull for a channel's send buffer (`--batch-window`): messages
   /// posted within the window coalesce into one `ReliableBatch` frame.
-  /// 0 disables coalescing (every post ships immediately).
+  /// 0 disables coalescing (every post ships immediately). A buffer
+  /// also flushes early once it holds
+  /// `fault::ReliableTransport::kBatchBytes` (16 KiB) of encodings.
   Duration window = 0;
-  /// Size flush threshold (`--batch-bytes`): a channel's buffer flushes
-  /// as soon as the encoded payload reaches this many bytes.
-  size_t max_bytes = 16 * 1024;
   /// Carry cumulative acks on reverse-direction data frames instead of
   /// sending a standalone `ChannelAck` per receipt; a standalone ack
-  /// still goes out after `ack_delay` if no reverse traffic appears.
+  /// still goes out after `fault::ReliableTransport::kAckDelay` (5 ms)
+  /// if no reverse traffic appears.
   bool piggyback_acks = false;
-  /// Fallback delay before an owed ack is sent standalone.
-  Duration ack_delay = Millis(5);
   /// WAL group commit at secondaries: one delivered batch = one WAL sync
   /// boundary instead of one per applied subtransaction.
   bool wal_group_commit = false;
@@ -159,8 +155,6 @@ struct BatchingOptions {
     return window > 0 || piggyback_acks || wal_group_commit ||
            force_transport;
   }
-  /// Coalescing active (as opposed to just piggybacking/group commit).
-  bool coalescing() const { return window > 0; }
 
   bool operator==(const BatchingOptions&) const = default;
 };

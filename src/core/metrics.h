@@ -168,12 +168,6 @@ class MetricsCollector {
     }
   }
 
-  /// Propagation registered but aborted later (BackEdge victim): drop it.
-  void CancelPropagation(const GlobalTxnId& origin) {
-    std::lock_guard<std::mutex> lock(mu_);
-    pending_.erase(origin);
-  }
-
   size_t pending_propagations() const {
     std::lock_guard<std::mutex> lock(mu_);
     return pending_.size();

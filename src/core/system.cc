@@ -177,15 +177,6 @@ Status Validate(const SystemConfig& config) {
   if (config.batching.window < 0) {
     return Status::InvalidArgument("batching window must be >= 0");
   }
-  if (config.batching.coalescing() && config.batching.max_bytes == 0) {
-    return Status::InvalidArgument(
-        "batching max_bytes must be > 0 when coalescing is on");
-  }
-  if (config.batching.piggyback_acks &&
-      config.batching.ack_delay <= 0) {
-    return Status::InvalidArgument(
-        "piggybacked acks need a positive ack_delay fallback");
-  }
   if (config.batching.wal_group_commit && !config.enable_wal) {
     return Status::InvalidArgument(
         "wal_group_commit requires enable_wal (there is no log whose "
@@ -284,7 +275,6 @@ Status System::Build() {
   net_config.recv_cpu = config_.costs.msg_recv_cpu;
   net_config.bandwidth_bytes_per_sec =
       config_.costs.net_bandwidth_bytes_per_sec;
-  net_config.shared_medium = config_.costs.net_shared_medium;
   net_config.loopback_latency = config_.costs.loopback_latency;
   network_ = std::make_unique<ProtocolNetwork>(
       runtime_.get(), params.num_sites, net_config, site_cpu_, rng_.Split());
@@ -328,7 +318,7 @@ Status System::Build() {
   if (want_faults || config_.batching.enabled()) {
     transport_ = std::make_unique<fault::ReliableTransport>(
         runtime_.get(), network_.get(), injector_.get(), params.num_sites,
-        fault::ReliableTransport::Config::FromBatching(config_.batching));
+        config_.batching);
     transport_->SetMetrics(&obs_);
   }
   if (want_faults && config_.faults->network_faults()) {
@@ -416,15 +406,18 @@ Status System::Build() {
           });
     }
   }
+  // The transport owns the raw network handlers when it is in the
+  // stack; engines then sit behind its exactly-once FIFO delivery.
+  ProtocolTransport* egress =
+      transport_ != nullptr ? static_cast<ProtocolTransport*>(transport_.get())
+                            : network_.get();
   for (SiteId s = 0; s < params.num_sites; ++s) {
     ReplicationEngine::Context ctx;
     ctx.site = s;
     ctx.rt = runtime_.get();
     ctx.machine = home_exec(s);
     ctx.db = databases_[s].get();
-    ctx.net = transport_ != nullptr
-                  ? static_cast<ProtocolTransport*>(transport_.get())
-                  : network_.get();
+    ctx.net = egress;
     ctx.routing = routing_;
     ctx.metrics = &metrics_;
     ctx.oracle = oracle_.get();
@@ -432,25 +425,9 @@ Status System::Build() {
     ctx.config = &config_;
     ctx.faults = injector_.get();
     engines_.push_back(MakeEngine(std::move(ctx)));
-    if (transport_ != nullptr) {
-      // The transport owns the raw network handlers; engines sit behind
-      // its exactly-once FIFO delivery.
-      transport_->SetHandler(s, [this, s](SiteId src,
-                                          ProtocolMessage message,
-                                          bool batch_end) {
-        ProtocolNetwork::Envelope env;
-        env.src = src;
-        env.dst = s;
-        env.send_time = runtime_->Now();
-        env.payload = std::move(message);
-        env.batch_end = batch_end;
-        engines_[s]->OnMessage(std::move(env));
-      });
-    } else {
-      network_->SetHandler(s, [this, s](ProtocolNetwork::Envelope env) {
-        engines_[s]->OnMessage(std::move(env));
-      });
-    }
+    egress->SetHandler(s, [this, s](ProtocolNetwork::Envelope env) {
+      engines_[s]->OnMessage(std::move(env));
+    });
   }
   next_txn_seq_ =
       std::make_unique<std::atomic<int64_t>[]>(params.num_sites);

@@ -4,8 +4,8 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <functional>
 #include <map>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -33,28 +33,35 @@ namespace lazyrep::fault {
 /// Acks travel on the raw network — they are lossy too, but cumulative,
 /// so any later ack supersedes a lost one.
 ///
-/// Batching (docs/PERFORMANCE.md §6), all off by default:
-///  - Frame coalescing (`Config::batch_window > 0`): posts accumulate in
-///    a per-channel send buffer and ship as one `ReliableBatch` frame
-///    (one sequence number, N length-prefixed inner encodings) when the
-///    buffer reaches `batch_bytes` or the window elapses. Flush order is
-///    post order, so per-channel FIFO — and with it DAG(T)'s timestamp
-///    order — is untouched.
-///  - Ack piggybacking (`Config::piggyback_acks`): a receipt marks the
-///    channel "ack owed" instead of posting a standalone `ChannelAck`;
-///    the next reverse-direction data/batch frame carries the cumulative
-///    ack in its `piggyback_ack` field, and a fallback timer sends the
-///    standalone ack after `ack_delay` if no reverse traffic appears.
+/// Every post takes one path: it is encoded into its channel's send
+/// buffer, and the buffer ships as one frame — a plain `ReliableData`
+/// when it holds one message, a `ReliableBatch` (one sequence number, N
+/// length-prefixed inner encodings) otherwise. Batching
+/// (`core::BatchingOptions`, docs/PERFORMANCE.md §6) is off by default:
+///  - Frame coalescing (`window > 0`): the buffer flushes when it
+///    reaches `kBatchBytes` or the window elapses. With window 0 every
+///    post flushes at once, as a one-message `ReliableData`. Flush order
+///    is post order, so per-channel FIFO — and with it DAG(T)'s
+///    timestamp order — is untouched.
+///  - Ack piggybacking (`piggyback_acks`): a receipt marks the channel
+///    "ack owed" instead of posting a standalone `ChannelAck`; the next
+///    reverse-direction data/batch frame carries the cumulative ack in
+///    its `piggyback_ack` field, and a fallback timer sends the
+///    standalone ack after `kAckDelay` if no reverse traffic appears.
 ///    Piggybacks are cumulative like everything else, so a lost one is
 ///    repaired by any later ack (standalone or piggybacked).
 ///
-/// Machine confinement (no locks needed on the hot path): a channel's
-/// send state is touched only on the source machine (`Post` runs there
+/// Channel layout and confinement (no locks on the hot path): channel
+/// cells are materialized on first touch, so memory is O(touched
+/// channels), not O(sites²). Send state lives in per-source maps
+/// `send_[src][dst]`, touched only on src's home lane (`Post` runs there
 /// by construction, acks are delivered to the original sender there, and
-/// the retransmitter is spawned there); its receive state only on the
-/// destination machine. A piggybacked ack for channel (dst, src) rides a
-/// (src, dst) data frame: it is read at `dst`, where both the (src, dst)
-/// receive state and the (dst, src) send state live. The aggregate
+/// the retransmitter and window flusher are spawned there). Receive
+/// state lives in per-destination maps `recv_[dst][src]`, touched only
+/// on dst's lane. A piggybacked ack for channel (dst, src) rides a
+/// (src, dst) data frame: it is read at `src` from its own receive map.
+/// Cells are never erased: the retransmitter, window flusher and ack
+/// fallback hold references to them across suspensions. The aggregate
 /// counters backing `Quiescent()` are atomics because the driver thread
 /// polls them.
 ///
@@ -68,64 +75,38 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
  public:
   using Message = core::ProtocolMessage;
   using Net = net::Network<Message>;
-  /// Engine-facing delivery callback for one site. `batch_end` is false
-  /// for every message of a coalesced batch except the last (see
-  /// `Network::Envelope::batch_end`).
-  using Handler =
-      std::function<void(SiteId src, Message message, bool batch_end)>;
 
-  struct Config {
-    /// Initial retransmission timeout. A data+ack round trip is not just
-    /// two 0.15 ms wire hops: under the paper's cost model each message
-    /// charges 0.5 ms of CPU at the sender and receiver, so even through
-    /// idle CPUs the round trip is ~2.3 ms — and CPU queueing on a
-    /// loaded machine stretches it much further. A timeout below the
-    /// real round trip is self-amplifying (every spurious retransmission
-    /// burns more CPU, delaying acks further), so leave generous room.
-    Duration rto_initial = Millis(10);
-    /// Backoff cap.
-    Duration rto_max = Millis(100);
-    /// Frame coalescing window; 0 = off (every post ships immediately).
-    Duration batch_window = 0;
-    /// Size flush threshold for the per-channel send buffer.
-    size_t batch_bytes = 16 * 1024;
-    /// Carry cumulative acks on reverse-direction data frames.
-    bool piggyback_acks = false;
-    /// Fallback delay before an owed ack goes out standalone. Must stay
-    /// below `rto_initial`, or the sender retransmits before a quiet
-    /// receiver ever acks.
-    Duration ack_delay = Millis(5);
-
-    static Config FromBatching(const core::BatchingOptions& batching) {
-      Config config;
-      config.batch_window = batching.window;
-      config.batch_bytes = batching.max_bytes;
-      config.piggyback_acks = batching.piggyback_acks;
-      config.ack_delay = batching.ack_delay;
-      return config;
-    }
-  };
+  /// Initial retransmission timeout. A data+ack round trip is not just
+  /// two 0.15 ms wire hops: under the paper's cost model each message
+  /// charges 0.5 ms of CPU at the sender and receiver, so even through
+  /// idle CPUs the round trip is ~2.3 ms — and CPU queueing on a loaded
+  /// machine stretches it much further. A timeout below the real round
+  /// trip is self-amplifying (every spurious retransmission burns more
+  /// CPU, delaying acks further), so leave generous room.
+  static constexpr Duration kRtoInitial = Millis(10);
+  /// Retransmission backoff cap.
+  static constexpr Duration kRtoMax = Millis(100);
+  /// Fallback delay before an owed (piggybackable) ack goes out
+  /// standalone.
+  static constexpr Duration kAckDelay = Millis(5);
+  static_assert(kAckDelay < kRtoInitial,
+                "the ack fallback must undercut the RTO, or the sender "
+                "retransmits before a quiet receiver ever acks");
+  /// Size flush threshold for a channel's send buffer.
+  static constexpr size_t kBatchBytes = 16 * 1024;
 
   ReliableTransport(runtime::Runtime* rt, Net* net, FaultInjector* injector,
-                    int num_sites)
-      : ReliableTransport(rt, net, injector, num_sites, Config()) {}
-
-  ReliableTransport(runtime::Runtime* rt, Net* net,
-                    FaultInjector* injector, int num_sites, Config config)
-      : rt_(rt),
+                    int num_sites, core::BatchingOptions batching = {})
+      : Transport(num_sites),
+        rt_(rt),
         net_(net),
         injector_(injector),
-        config_(config),
+        batching_(batching),
         num_sites_(num_sites),
-        send_(static_cast<size_t>(num_sites) * num_sites),
-        recv_(static_cast<size_t>(num_sites) * num_sites),
-        pending_(num_sites),
-        handlers_(num_sites) {
+        send_(static_cast<size_t>(num_sites)),
+        recv_(static_cast<size_t>(num_sites)),
+        pending_(static_cast<size_t>(num_sites)) {
     LAZYREP_CHECK_GT(num_sites, 0);
-    LAZYREP_CHECK(!config_.piggyback_acks ||
-                  config_.ack_delay < config_.rto_initial)
-        << "ack_delay must undercut rto_initial or every quiet channel "
-           "retransmits";
     // Acks bypass the per-message CPU charges: they model TCP's
     // kernel-level acknowledgements, which sit below the paper's cost
     // model. Charging them would double DAG(T)'s per-message CPU bill
@@ -139,12 +120,6 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         OnNetworkDeliver(std::move(env));
       });
     }
-  }
-
-  /// Registers the engine-facing handler for `site` (replaces what
-  /// `Network::SetHandler` would have been used for).
-  void SetHandler(SiteId site, Handler handler) {
-    handlers_[Check(site)] = std::move(handler);
   }
 
   /// Optional metrics sink: retransmission/duplicate/delivery counters,
@@ -170,12 +145,14 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         "High watermark of unacked frames on any one channel");
   }
 
-  /// Wraps, sequences and sends — or, with coalescing on, buffers for
-  /// the channel's next flush. Called from the source machine. Posts
-  /// after `BeginShutdown` are refused (counted, dropped): a sequenced
-  /// frame with no retransmitter behind it would stall the channel
-  /// forever if dropped, and shutdown begins only after quiescence, so
-  /// anything arriving here is a late liveness timer, not owed work.
+  /// Appends the message to its channel's send buffer and flushes the
+  /// buffer when the window is 0 or it reached `kBatchBytes`; otherwise
+  /// the channel's window flusher ships it. Called from the source
+  /// machine. Posts after `BeginShutdown` are refused (counted,
+  /// dropped): a sequenced frame with no retransmitter behind it would
+  /// stall the channel forever if dropped, and shutdown begins only
+  /// after quiescence, so anything arriving here is a late liveness
+  /// timer, not owed work.
   void Post(SiteId src, SiteId dst, Message payload) override {
     Check(src);
     Check(dst);
@@ -183,48 +160,25 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
       posts_refused_.fetch_add(1, std::memory_order_acq_rel);
       return;
     }
-    SendState& ch = send_[ChannelIndex(src, dst)];
-    const bool counted = !IsLivenessOnly(payload);
-    if (config_.batch_window > 0) {
-      // Coalesce: append [varint length][encoding] to the channel
-      // buffer. Counted messages enter the quiescence accounting now —
-      // buffered work is still owed work.
-      ch.scratch.clear();
-      core::Wire::EncodeTo(payload, &ch.scratch);
-      core::Wire::PutVarint(&ch.buffer, ch.scratch.size());
-      ch.buffer.insert(ch.buffer.end(), ch.scratch.begin(),
-                       ch.scratch.end());
-      ++ch.buffer_count;
-      if (counted) {
-        ++ch.buffer_counted;
-        unacked_total_.fetch_add(1, std::memory_order_acq_rel);
-      }
-      if (ch.buffer.size() >= config_.batch_bytes) {
-        FlushChannel(src, dst);
-      } else if (!ch.flusher_scheduled) {
-        ch.flusher_scheduled = true;
-        rt_->Spawn(WindowFlusher(src, dst));
-      }
-      return;
-    }
-    core::ReliableData data;
-    data.seq = ch.next_seq++;
-    if (config_.piggyback_acks) data.piggyback_ack = TakeOwedAck(src, dst);
-    // Encode into the channel's scratch buffer (machine-confined, warm
-    // capacity after the first frame — one visitor pass, no counting
-    // pre-pass), then size the frame's own copy exactly.
+    SendState& ch = SendFor(src, dst);
+    // Append [varint length][encoding], encoding through the channel's
+    // scratch buffer (machine-confined, warm capacity after the first
+    // frame). Counted messages enter the quiescence accounting now —
+    // buffered work is still owed work.
     ch.scratch.clear();
     core::Wire::EncodeTo(payload, &ch.scratch);
-    data.inner = ch.scratch;
-    ShipFrame(src, dst, data.seq, counted ? 1 : 0, Message(std::move(data)));
-  }
-
-  /// Flushes every channel send buffer out of `src` immediately (tests
-  /// and scripted scenarios; the window/size triggers handle normal
-  /// operation). Run on `src`'s machine.
-  void FlushAllFrom(SiteId src) {
-    for (SiteId dst = 0; dst < num_sites_; ++dst) {
-      FlushChannel(Check(src), dst);
+    core::Wire::PutVarint(&ch.buffer, ch.scratch.size());
+    ch.buffer.insert(ch.buffer.end(), ch.scratch.begin(), ch.scratch.end());
+    ++ch.buffer_count;
+    if (!IsLivenessOnly(payload)) {
+      ++ch.buffer_counted;
+      unacked_total_.fetch_add(1, std::memory_order_acq_rel);
+    }
+    if (batching_.window == 0 || ch.buffer.size() >= kBatchBytes) {
+      FlushChannel(src, dst);
+    } else if (!ch.flusher_scheduled) {
+      ch.flusher_scheduled = true;
+      rt_->Spawn(WindowFlusher(src, dst));
     }
   }
 
@@ -238,7 +192,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
       if (d.counted) {
         pending_total_.fetch_sub(1, std::memory_order_acq_rel);
       }
-      DeliverToEngine(d.src, site, std::move(d.message), d.batch_end);
+      DeliverToEngine(std::move(d.env));
     }
   }
 
@@ -289,6 +243,11 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     return posts_refused_.load(std::memory_order_acquire);
   }
 
+  /// Materialized per-channel send / receive cells (test introspection;
+  /// exact only once traffic has quiesced).
+  size_t allocated_send_channels() const { return CountCells(send_); }
+  size_t allocated_recv_channels() const { return CountCells(recv_); }
+
  private:
   struct Outstanding {
     /// The exact frame on the wire (`ReliableData` or `ReliableBatch`),
@@ -329,10 +288,8 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     bool ack_timer_running = false;
   };
   struct PendingDelivery {
-    SiteId src = kInvalidSite;
-    Message message;
+    Envelope env;
     bool counted = true;
-    bool batch_end = true;
   };
 
   /// DAG(T) §3.3 dummies carry no writes — only a timestamp push. They
@@ -342,8 +299,19 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     return update != nullptr && update->is_dummy;
   }
 
-  size_t ChannelIndex(SiteId src, SiteId dst) const {
-    return static_cast<size_t>(src) * num_sites_ + dst;
+  /// Send state of channel (src, dst), in src's map.
+  SendState& SendFor(SiteId src, SiteId dst) {
+    return send_[static_cast<size_t>(src)][dst];
+  }
+  /// Receive state of channel (src, dst), in dst's map.
+  RecvState& RecvFor(SiteId src, SiteId dst) {
+    return recv_[static_cast<size_t>(dst)][src];
+  }
+  template <typename Maps>
+  static size_t CountCells(const Maps& maps) {
+    size_t n = 0;
+    for (const auto& m : maps) n += m.size();
+    return n;
   }
   SiteId Check(SiteId s) const {
     LAZYREP_CHECK(s >= 0 && s < num_sites_) << "bad site " << s;
@@ -352,11 +320,14 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
 
   /// Consumes the owed-ack state of the reverse channel (data flowing
   /// dst -> src) and returns the cumulative ack to carry on a (src, dst)
-  /// frame; 0 when nothing was ever received. Runs at `src`, where the
-  /// (dst, src) receive state lives.
+  /// frame; 0 when nothing was ever received. Runs at `src`, whose own
+  /// receive map holds the (dst, src) state; a channel that never
+  /// carried data stays unmaterialized.
   uint64_t TakeOwedAck(SiteId src, SiteId dst) {
-    RecvState& reverse = recv_[ChannelIndex(dst, src)];
-    if (reverse.next_expected <= 1) return 0;
+    auto& received = recv_[static_cast<size_t>(src)];
+    auto it = received.find(dst);
+    if (it == received.end() || it->second.next_expected <= 1) return 0;
+    RecvState& reverse = it->second;
     if (reverse.ack_owed) {
       reverse.ack_owed = false;
       acks_piggybacked_.fetch_add(1, std::memory_order_acq_rel);
@@ -366,39 +337,18 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     return reverse.next_expected - 1;
   }
 
-  /// Sequences `frame` into the channel window and puts it on the wire.
-  void ShipFrame(SiteId src, SiteId dst, uint64_t seq, int counted,
-                 Message frame) {
-    SendState& ch = send_[ChannelIndex(src, dst)];
-    ch.unacked.push_back(Outstanding{frame, seq, counted, rt_->Now(), false});
-    if (counted > 0) {
-      unacked_total_.fetch_add(static_cast<uint64_t>(counted),
-                               std::memory_order_acq_rel);
-    }
-    if (window_peak_ != nullptr) {
-      window_peak_->MaxWith(static_cast<double>(ch.unacked.size()));
-    }
-    frames_sent_.fetch_add(1, std::memory_order_acq_rel);
-    net_->Post(src, dst, std::move(frame));
-    if (!ch.retransmitter_running && !shutdown_.load()) {
-      ch.retransmitter_running = true;
-      rt_->Spawn(Retransmitter(src, dst));
-    }
-  }
-
-  /// Ships the channel's coalescing buffer as one frame: a plain
+  /// Ships the channel's send buffer as one sequenced frame: a plain
   /// `ReliableData` when a single message is pending (no batch framing
-  /// overhead), a `ReliableBatch` otherwise. The buffered messages were
-  /// already counted into `unacked_total_` at post time, so `ShipFrame`
-  /// must not count them again.
+  /// overhead), a `ReliableBatch` otherwise. The frame joins the
+  /// channel's unacked window; its messages were already counted into
+  /// `unacked_total_` at post time.
   void FlushChannel(SiteId src, SiteId dst) {
-    SendState& ch = send_[ChannelIndex(src, dst)];
+    SendState& ch = SendFor(src, dst);
     if (ch.buffer_count == 0) return;
     const uint64_t piggyback =
-        config_.piggyback_acks ? TakeOwedAck(src, dst) : 0;
-    const int counted = ch.buffer_counted;
+        batching_.piggyback_acks ? TakeOwedAck(src, dst) : 0;
     Message frame;
-    uint64_t seq = ch.next_seq++;
+    const uint64_t seq = ch.next_seq++;
     if (ch.buffer_count == 1) {
       core::ReliableData data;
       data.seq = seq;
@@ -418,21 +368,28 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
       frame = std::move(batch);
       batch_frames_sent_.fetch_add(1, std::memory_order_acq_rel);
     }
+    ch.unacked.push_back(
+        Outstanding{frame, seq, ch.buffer_counted, rt_->Now(), false});
     ch.buffer.clear();
     ch.buffer_count = 0;
     ch.buffer_counted = 0;
-    // Counted at post time; pass 0 so ShipFrame does not double-count,
-    // then fix up the window entry so the eventual ack decrements right.
-    ShipFrame(src, dst, seq, 0, std::move(frame));
-    ch.unacked.back().counted = counted;
+    if (window_peak_ != nullptr) {
+      window_peak_->MaxWith(static_cast<double>(ch.unacked.size()));
+    }
+    frames_sent_.fetch_add(1, std::memory_order_acq_rel);
+    net_->Post(src, dst, std::move(frame));
+    if (!ch.retransmitter_running && !shutdown_.load()) {
+      ch.retransmitter_running = true;
+      rt_->Spawn(Retransmitter(src, dst));
+    }
   }
 
   /// Single-shot window flusher for one channel; runs on the source
   /// machine. A size-triggered flush during the delay just means this
   /// tick flushes whatever accumulated since (possibly nothing).
   runtime::Co<void> WindowFlusher(SiteId src, SiteId dst) {
-    SendState& ch = send_[ChannelIndex(src, dst)];
-    co_await rt_->Delay(config_.batch_window);
+    SendState& ch = SendFor(src, dst);
+    co_await rt_->Delay(batching_.window);
     ch.flusher_scheduled = false;
     if (!shutdown_.load(std::memory_order_acquire)) {
       FlushChannel(src, dst);
@@ -491,7 +448,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   /// drain in order, acknowledge the receipt.
   void OnFrame(SiteId src, SiteId dst, uint64_t seq,
                std::vector<Message> inners) {
-    RecvState& ch = recv_[ChannelIndex(src, dst)];
+    RecvState& ch = RecvFor(src, dst);
     if (seq < ch.next_expected || ch.stash.find(seq) != ch.stash.end()) {
       duplicates_discarded_.fetch_add(1, std::memory_order_acq_rel);
       if (duplicates_counter_ != nullptr) duplicates_counter_->Increment();
@@ -518,15 +475,16 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         for (size_t i = 0; i < stashed.messages.size(); ++i) {
           Message& m = stashed.messages[i];
           const bool batch_end = (i + 1 == stashed.messages.size());
+          Envelope env{src, dst, std::move(m), batch_end};
           if (injector_ != nullptr && !injector_->IsUp(dst)) {
-            const bool counted_msg = !IsLivenessOnly(m);
+            const bool counted_msg = !IsLivenessOnly(env.payload);
             pending_[dst].push_back(
-                PendingDelivery{src, std::move(m), counted_msg, batch_end});
+                PendingDelivery{std::move(env), counted_msg});
             if (counted_msg) {
               pending_total_.fetch_add(1, std::memory_order_acq_rel);
             }
           } else {
-            DeliverToEngine(src, dst, std::move(m), batch_end);
+            DeliverToEngine(std::move(env));
           }
         }
       }
@@ -537,7 +495,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   }
 
   void AckReceipt(SiteId src, SiteId dst, RecvState& ch) {
-    if (!config_.piggyback_acks) {
+    if (!batching_.piggyback_acks) {
       acks_standalone_.fetch_add(1, std::memory_order_acq_rel);
       net_->Post(dst, src, Message(core::ChannelAck{ch.next_expected - 1}));
       return;
@@ -550,11 +508,11 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   }
 
   /// Single-shot fallback: if no reverse-direction frame consumed the
-  /// owed ack within `ack_delay`, send it standalone. Runs at the
+  /// owed ack within `kAckDelay`, send it standalone. Runs at the
   /// receiver (`dst`'s machine).
   runtime::Co<void> AckFallback(SiteId src, SiteId dst) {
-    RecvState& ch = recv_[ChannelIndex(src, dst)];
-    co_await rt_->Delay(config_.ack_delay);
+    RecvState& ch = RecvFor(src, dst);
+    co_await rt_->Delay(kAckDelay);
     ch.ack_timer_running = false;
     if (ch.ack_owed) {
       ch.ack_owed = false;
@@ -564,7 +522,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   }
 
   void OnAck(SiteId src, SiteId dst, core::ChannelAck ack) {
-    SendState& ch = send_[ChannelIndex(src, dst)];
+    SendState& ch = SendFor(src, dst);
     while (!ch.unacked.empty() && ch.unacked.front().seq <= ack.cum_ack) {
       const Outstanding& out = ch.unacked.front();
       if (out.counted > 0) {
@@ -578,20 +536,17 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     }
   }
 
-  void DeliverToEngine(SiteId src, SiteId dst, Message message,
-                       bool batch_end) {
-    Handler& h = handlers_[dst];
-    LAZYREP_CHECK(h != nullptr) << "no handler for site " << dst;
+  void DeliverToEngine(Envelope env) {
     delivered_.fetch_add(1, std::memory_order_acq_rel);
     if (delivered_counter_ != nullptr) delivered_counter_->Increment();
-    h(src, std::move(message), batch_end);
+    CallHandler(std::move(env));
   }
 
   /// One live retransmission loop per channel with unacked frames; runs
   /// on the source machine and exits when the channel drains.
   runtime::Co<void> Retransmitter(SiteId src, SiteId dst) {
-    SendState& ch = send_[ChannelIndex(src, dst)];
-    Duration rto = config_.rto_initial;
+    SendState& ch = SendFor(src, dst);
+    Duration rto = kRtoInitial;
     while (!ch.unacked.empty() && !shutdown_.load()) {
       uint64_t head = ch.unacked.front().seq;
       co_await rt_->Delay(rto);
@@ -610,9 +565,9 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         }
         ch.unacked.front().retransmitted = true;
         net_->Post(src, dst, Message(ch.unacked.front().frame));
-        rto = std::min(rto * 2, config_.rto_max);
+        rto = std::min(rto * 2, kRtoMax);
       } else {
-        rto = config_.rto_initial;
+        rto = kRtoInitial;
       }
     }
     ch.retransmitter_running = false;
@@ -621,12 +576,13 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   runtime::Runtime* rt_;
   Net* net_;
   FaultInjector* injector_;
-  Config config_;
+  core::BatchingOptions batching_;
   SiteId num_sites_;
-  std::vector<SendState> send_;
-  std::vector<RecvState> recv_;
+  /// send_[src][dst] and recv_[dst][src]: per-site maps of lazily
+  /// created channel cells, each confined to its site's home lane.
+  std::vector<std::unordered_map<SiteId, SendState>> send_;
+  std::vector<std::unordered_map<SiteId, RecvState>> recv_;
   std::vector<std::deque<PendingDelivery>> pending_;
-  std::vector<Handler> handlers_;
   std::atomic<bool> shutdown_{false};
   std::atomic<uint64_t> unacked_total_{0};
   std::atomic<uint64_t> stashed_total_{0};

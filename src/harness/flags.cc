@@ -276,9 +276,6 @@ std::vector<ConfigFlag> BuildConfigFlags() {
            "coalesce posts per channel for this long and ship them as one "
            "batch frame (0 = off; docs/PERFORMANCE.md §6)",
            LAZYREP_FIELD(batching.window)),
-      Number("batch-bytes", "N",
-             "size threshold that flushes a channel's batch buffer early",
-             LAZYREP_FIELD(batching.max_bytes)),
       Switch("piggyback-acks",
              "carry cumulative acks on reverse-direction data frames",
              [](Config& c) { c.batching.piggyback_acks = true; },

@@ -45,21 +45,23 @@ namespace lazyrep::net {
 /// preserved by the channel clock + the executor's (due, seq) ordering.
 ///
 /// Bookkeeping is sharded so cross-machine posts do not serialize
-/// (docs/PERFORMANCE.md): per-channel wire state (channel clock, link
-/// occupancy) is machine-confined — a channel's `Dispatch` always runs
-/// on its source endpoint's machine — so it needs no synchronization at
-/// all; counters and per-kind metric handles are relaxed atomics; only
-/// the genuinely shared resources — the shared-medium bus clock, the
-/// jitter RNG, and the fault hook's RNG — sit behind a (now tiny)
-/// mutex, and an unfaulted post on a point-to-point or bandwidth-free
-/// configuration takes no lock at all.
+/// (docs/PERFORMANCE.md): per-channel wire state (the channel clock) is
+/// machine-confined — a channel's `Dispatch` always runs on its source
+/// endpoint's machine — so it needs no synchronization at all; counters
+/// and per-kind metric handles are relaxed atomics; only the genuinely
+/// shared resources — the shared-medium bus clock, the jitter RNG, and
+/// the fault hook's RNG — sit behind a (now tiny) mutex, and an
+/// unfaulted post on a bandwidth-free configuration takes no lock at
+/// all.
 ///
 /// `T` is the payload type; the replication layer instantiates it with its
 /// protocol message variant. Delivery invokes the handler registered for
-/// the destination endpoint.
+/// the destination endpoint (`Transport::SetHandler`).
 template <typename T>
 class Network : public Transport<T> {
  public:
+  using typename Transport<T>::Envelope;
+
   struct Config {
     /// One-way wire latency (default: the 0.15 ms the paper measured on
     /// its 10 Mbit ethernet).
@@ -70,29 +72,15 @@ class Network : public Transport<T> {
     Duration send_cpu = 0;
     /// CPU charged on the receiver's machine per message.
     Duration recv_cpu = 0;
-    /// Link bandwidth in bytes/second; 0 disables transmission-time
-    /// modelling. (The paper's 10 Mbit ethernet is 1.25e6 B/s.) Needs a
-    /// sizer (SetSizer) to take effect.
+    /// Bandwidth in bytes/second of the one shared half-duplex segment
+    /// (1990s ethernet): all non-loopback transmissions serialize on a
+    /// single bus. 0 disables transmission-time modelling. (The paper's
+    /// 10 Mbit ethernet is 1.25e6 B/s.) Needs a sizer (SetSizer) to take
+    /// effect.
     uint64_t bandwidth_bytes_per_sec = 0;
-    /// true: one shared half-duplex segment (1990s ethernet) — all
-    /// non-loopback transmissions serialize on a single bus. false:
-    /// independent point-to-point links per channel.
-    bool shared_medium = true;
     /// Latency for messages between endpoints on the same machine
     /// (loopback TCP; no bus occupancy). Negative = use `latency`.
     Duration loopback_latency = -1;
-  };
-
-  struct Envelope {
-    SiteId src = kInvalidSite;
-    SiteId dst = kInvalidSite;
-    SimTime send_time = 0;
-    T payload;
-    /// Batch boundary marker (transport coalescing): false for every
-    /// message of a delivered `ReliableBatch` except the last. Raw
-    /// network deliveries are their own batch, hence the default. WAL
-    /// group commit keys its per-batch sync boundary off this flag.
-    bool batch_end = true;
   };
 
   /// Consolidated counter snapshot — the one read-side accessor. Reads
@@ -109,18 +97,16 @@ class Network : public Transport<T> {
     std::vector<uint64_t> received_at;
   };
 
-  using Handler = std::function<void(Envelope)>;
-
   /// `cpus[i]` is the machine CPU serving endpoint `i` (entries may repeat
   /// when sites share a machine, and may be nullptr to skip CPU charging).
   Network(runtime::Runtime* rt, int num_endpoints, Config config,
           std::vector<runtime::Resource*> cpus, Rng rng)
-      : rt_(rt),
+      : Transport<T>(num_endpoints),
+        rt_(rt),
         config_(config),
         cpus_(std::move(cpus)),
         rng_(rng),
         num_endpoints_(num_endpoints),
-        handlers_(num_endpoints),
         sent_from_(num_endpoints),
         received_at_(num_endpoints) {
     LAZYREP_CHECK_GT(num_endpoints, 0);
@@ -134,12 +120,6 @@ class Network : public Transport<T> {
     size_t n = 0;
     for (const auto& m : channels_) n += m.size();
     return n;
-  }
-
-  /// Registers the delivery handler for endpoint `dst`. Must be set before
-  /// the first message to `dst` is delivered.
-  void SetHandler(SiteId dst, Handler handler) {
-    handlers_[Check(dst)] = std::move(handler);
   }
 
   /// Tracing observers: each is invoked, in the order added, on every
@@ -299,8 +279,6 @@ class Network : public Transport<T> {
   struct alignas(64) Channel {
     /// FIFO clock: latest arrival time granted on this channel.
     SimTime clock = 0;
-    /// Point-to-point link occupancy (bandwidth model).
-    SimTime link_busy_until = 0;
   };
 
   /// Relaxed per-endpoint counter, padded against false sharing.
@@ -344,26 +322,20 @@ class Network : public Transport<T> {
       }
     }
 
-    // Departure: transmission occupies the medium (shared bus or the
-    // point-to-point link) for size/bandwidth; loopback skips the wire.
+    // Departure: transmission occupies the shared bus for
+    // size/bandwidth; loopback skips the wire.
     Channel& ch = ChannelFor(src, dst);
     SimTime depart = rt_->Now();
     if (!loopback && config_.bandwidth_bytes_per_sec > 0 && size > 0) {
       Duration tx = static_cast<Duration>(
           static_cast<double>(size) * static_cast<double>(kSecond) /
           static_cast<double>(config_.bandwidth_bytes_per_sec));
-      if (config_.shared_medium) {
-        // One bus for every machine: the only wire state that is
-        // genuinely shared.
-        std::lock_guard<std::mutex> lock(mu_);
-        SimTime start = std::max(rt_->Now(), bus_busy_until_);
-        bus_busy_until_ = start + tx;
-        depart = bus_busy_until_;
-      } else {
-        SimTime start = std::max(rt_->Now(), ch.link_busy_until);
-        ch.link_busy_until = start + tx;
-        depart = ch.link_busy_until;
-      }
+      // One bus for every machine: the only wire state that is
+      // genuinely shared.
+      std::lock_guard<std::mutex> lock(mu_);
+      SimTime start = std::max(rt_->Now(), bus_busy_until_);
+      bus_busy_until_ = start + tx;
+      depart = bus_busy_until_;
     }
 
     Duration lat = config_.latency;
@@ -378,7 +350,6 @@ class Network : public Transport<T> {
       extra = static_cast<Duration>(
           rng_.Below(static_cast<uint64_t>(config_.jitter) + 1));
     }
-    SimTime send_time = rt_->Now();
     if (fault.drop) {
       // Lost on the wire: it occupied the medium and counts as sent,
       // but nothing arrives and the channel clock does not advance.
@@ -406,7 +377,7 @@ class Network : public Transport<T> {
       ch.clock = dup_arrive;
     }
 
-    Envelope env{src, dst, send_time, std::move(payload)};
+    Envelope env{src, dst, std::move(payload)};
     // Post events fire before any delivery is scheduled: once a
     // delivery is on the destination executor it can run (and trace)
     // immediately under ThreadRuntime, so observing it first would
@@ -519,13 +490,10 @@ class Network : public Transport<T> {
   }
 
   void InvokeHandler(Envelope env) {
-    Handler& h = handlers_[env.dst];
-    LAZYREP_CHECK(h != nullptr)
-        << "no handler registered for endpoint " << env.dst;
     for (const Observer& observer : observers_) {
       observer(env, /*delivered=*/true);
     }
-    h(std::move(env));
+    this->CallHandler(std::move(env));
   }
 
   runtime::Runtime* rt_;
@@ -543,7 +511,6 @@ class Network : public Transport<T> {
   /// confined to its source endpoint (see ChannelFor).
   std::vector<std::unordered_map<SiteId, Channel>> channels_;
   SimTime bus_busy_until_ = 0;  // Guarded by mu_.
-  std::vector<Handler> handlers_;
   std::vector<Observer> observers_;
   Sizer sizer_;
   obs::MetricsRegistry* obs_ = nullptr;

@@ -64,8 +64,7 @@ core::SystemConfig BatchedConfig(Protocol protocol, RuntimeKind kind,
     config.workload.deadlock_timeout *= d;
     config.engine.epoch_period *= d;
     config.engine.dummy_period *= d;
-    // ack_delay stays undilated: it must stay below the transport's
-    // 10 ms rto_initial.
+    // The transport's ack fallback and RTO are constants: undilated.
     config.batching.window *= d;
   }
   config.batching.piggyback_acks = true;

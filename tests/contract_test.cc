@@ -19,7 +19,6 @@ using storage::TxnPtr;
 
 TEST(ContractDeathTest, WriteLockedWithoutLockAborts) {
   runtime::SimRuntime rt;
-  sim::Simulator& sim = *rt.simulator();
   Database::Options options;
   Database db(&rt, options, nullptr, nullptr);
   db.store().AddItem(1, 0);
@@ -30,7 +29,6 @@ TEST(ContractDeathTest, WriteLockedWithoutLockAborts) {
 
 TEST(ContractDeathTest, ReadLockedWithoutLockAborts) {
   runtime::SimRuntime rt;
-  sim::Simulator& sim = *rt.simulator();
   Database::Options options;
   Database db(&rt, options, nullptr, nullptr);
   db.store().AddItem(1, 0);

@@ -23,8 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include "core/config.h"
 #include "core/messages.h"
 #include "core/system.h"
+#include "core/wire.h"
 #include "fault/fault_injector.h"
 #include "fault/fault_plan.h"
 #include "fault/reliable_transport.h"
@@ -170,9 +172,9 @@ TEST(ReliableTransportTest, RestoresExactlyOnceFifoUnderDropDupDelay) {
 
   ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2);
   std::vector<int64_t> got;
-  transport.SetHandler(1, [&](SiteId src, ProtocolMessage message, bool) {
-    EXPECT_EQ(src, 0);
-    got.push_back(UpdateSeq(message));
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    EXPECT_EQ(env.src, 0);
+    got.push_back(UpdateSeq(env.payload));
   });
   constexpr int kMessages = 50;
   for (int64_t i = 0; i < kMessages; ++i) {
@@ -199,8 +201,8 @@ TEST(ReliableTransportTest, ParksFramesForDownSiteAndFlushesInOrder) {
   FaultInjector injector(&rt, FaultPlan{}, /*num_sites=*/2, Rng(4));
   ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2);
   std::vector<int64_t> got;
-  transport.SetHandler(1, [&](SiteId, ProtocolMessage message, bool) {
-    got.push_back(UpdateSeq(message));
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.push_back(UpdateSeq(env.payload));
   });
 
   injector.SetDown(1);
@@ -237,8 +239,8 @@ TEST(ReliableTransportTest, PostAfterShutdownIsRefusedNotStalled) {
       [&](SiteId src, SiteId dst) { return injector.Roll(src, dst); });
   ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2);
   std::vector<int64_t> got;
-  transport.SetHandler(1, [&](SiteId, ProtocolMessage message, bool) {
-    got.push_back(UpdateSeq(message));
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.push_back(UpdateSeq(env.payload));
   });
 
   transport.BeginShutdown();
@@ -260,13 +262,13 @@ TEST(ReliableTransportBatchingTest, CoalescesPostsPreservingFifoAndBatchEnd) {
   ProtocolNetwork net(&rt, 2, ProtocolNetwork::Config{}, {nullptr, nullptr},
                       Rng(21));
   FaultInjector injector(&rt, FaultPlan{}, /*num_sites=*/2, Rng(22));
-  ReliableTransport::Config cfg;
-  cfg.batch_window = Millis(1);
-  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2, cfg);
+  core::BatchingOptions batching;
+  batching.window = Millis(1);
+  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2,
+                              batching);
   std::vector<std::pair<int64_t, bool>> got;
-  transport.SetHandler(1, [&](SiteId, ProtocolMessage message,
-                              bool batch_end) {
-    got.emplace_back(UpdateSeq(message), batch_end);
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.emplace_back(UpdateSeq(env.payload), env.batch_end);
   });
 
   constexpr int kMessages = 10;
@@ -293,13 +295,13 @@ TEST(ReliableTransportBatchingTest, SingleBufferedPostShipsAsPlainData) {
   ProtocolNetwork net(&rt, 2, ProtocolNetwork::Config{}, {nullptr, nullptr},
                       Rng(23));
   FaultInjector injector(&rt, FaultPlan{}, /*num_sites=*/2, Rng(24));
-  ReliableTransport::Config cfg;
-  cfg.batch_window = Millis(1);
-  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2, cfg);
+  core::BatchingOptions batching;
+  batching.window = Millis(1);
+  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2,
+                              batching);
   std::vector<std::pair<int64_t, bool>> got;
-  transport.SetHandler(1, [&](SiteId, ProtocolMessage message,
-                              bool batch_end) {
-    got.emplace_back(UpdateSeq(message), batch_end);
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.emplace_back(UpdateSeq(env.payload), env.batch_end);
   });
 
   transport.Post(0, 1, ProtocolMessage(MakeUpdate(42)));
@@ -313,6 +315,91 @@ TEST(ReliableTransportBatchingTest, SingleBufferedPostShipsAsPlainData) {
   EXPECT_EQ(transport.frames_sent(), 1u);
   EXPECT_EQ(transport.batch_frames_sent(), 0u);
   EXPECT_TRUE(transport.Quiescent());
+}
+
+// The size trigger: a channel whose buffer reaches kBatchBytes inside
+// one window flushes at once, and the rest ships when the window fires —
+// two frames, FIFO order intact, batch_end on the last message of each.
+TEST(ReliableTransportBatchingTest, FullBufferFlushesBeforeTheWindow) {
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  ProtocolNetwork net(&rt, 2, ProtocolNetwork::Config{}, {nullptr, nullptr},
+                      Rng(25));
+  FaultInjector injector(&rt, FaultPlan{}, /*num_sites=*/2, Rng(26));
+  core::BatchingOptions batching;
+  batching.window = Millis(1);
+  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2,
+                              batching);
+  std::vector<std::pair<int64_t, bool>> got;
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.emplace_back(UpdateSeq(env.payload), env.batch_end);
+  });
+
+  // ~1 KiB updates: the buffer ([varint length][encoding] per post)
+  // crosses kBatchBytes on post `first - 1`.
+  auto big_update = [](int64_t seq) {
+    core::SecondaryUpdate update = MakeUpdate(seq);
+    update.writes.resize(200, update.writes[0]);
+    return ProtocolMessage(std::move(update));
+  };
+  std::vector<uint8_t> buffered;
+  int64_t first = 0;
+  while (buffered.size() < ReliableTransport::kBatchBytes) {
+    const std::vector<uint8_t> one = core::Wire::Encode(big_update(first++));
+    core::Wire::PutVarint(&buffered, one.size());
+    buffered.insert(buffered.end(), one.begin(), one.end());
+  }
+  ASSERT_GT(first, 2);
+  const int64_t total = first + 2;
+  for (int64_t i = 0; i < total; ++i) {
+    transport.Post(0, 1, big_update(i));
+    // The full buffer shipped at post time, not at the window.
+    EXPECT_EQ(transport.frames_sent(), i + 1 < first ? 0u : 1u) << i;
+  }
+  sim.Run();
+
+  ASSERT_EQ(got.size(), static_cast<size_t>(total));
+  for (int64_t i = 0; i < total; ++i) {
+    EXPECT_EQ(got[i].first, i);
+    EXPECT_EQ(got[i].second, i == first - 1 || i == total - 1) << i;
+  }
+  EXPECT_EQ(transport.frames_sent(), 2u);
+  EXPECT_EQ(transport.batch_frames_sent(), 2u);
+  EXPECT_TRUE(transport.Quiescent());
+}
+
+// Channel cells are materialized on first touch: traffic on one channel
+// of a 256-site transport holds one send cell (at the sender) and one
+// receive cell (at the receiver), not 256² of each. Piggybacking is on,
+// so the sender also looks up the reverse channel's owed ack — a lookup
+// that must not materialize a cell either.
+TEST(ReliableTransportTest, OneChannelOfManySitesMaterializesOneCellEach) {
+  constexpr int kSites = 256;
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  ProtocolNetwork net(&rt, kSites, ProtocolNetwork::Config{},
+                      std::vector<runtime::Resource*>(kSites, nullptr),
+                      Rng(27));
+  FaultInjector injector(&rt, FaultPlan{}, kSites, Rng(28));
+  core::BatchingOptions batching;
+  batching.piggyback_acks = true;
+  ReliableTransport transport(&rt, &net, &injector, kSites, batching);
+  std::vector<int64_t> got;
+  transport.SetHandler(200, [&](ReliableTransport::Envelope env) {
+    EXPECT_EQ(env.src, 3);
+    got.push_back(UpdateSeq(env.payload));
+  });
+  for (int64_t i = 0; i < 5; ++i) {
+    transport.Post(3, 200, ProtocolMessage(MakeUpdate(i)));
+  }
+  sim.Run();
+
+  ASSERT_EQ(got.size(), 5u);
+  EXPECT_TRUE(transport.Quiescent());
+  EXPECT_EQ(transport.allocated_send_channels(), 1u);
+  EXPECT_EQ(transport.allocated_recv_channels(), 1u);
+  // The wire saw the data channel and the reverse ack channel.
+  EXPECT_EQ(net.allocated_channels(), 2u);
 }
 
 // Two-way bursty traffic with coalescing + piggybacking over a lossy
@@ -341,17 +428,18 @@ TEST(ReliableTransportBatchingTest, PiggybackedExactlyOnceUnderDropDup) {
   FaultInjector injector(&rt, plan, /*num_sites=*/2, Rng(32));
   net.SetFaultHook(
       [&](SiteId src, SiteId dst) { return injector.Roll(src, dst); });
-  ReliableTransport::Config cfg;
-  cfg.batch_window = Millis(0.5);
-  cfg.piggyback_acks = true;
-  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2, cfg);
+  core::BatchingOptions batching;
+  batching.window = Millis(0.5);
+  batching.piggyback_acks = true;
+  ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2,
+                              batching);
   std::vector<int64_t> got_at_1;
   std::vector<int64_t> got_at_0;
-  transport.SetHandler(1, [&](SiteId, ProtocolMessage message, bool) {
-    got_at_1.push_back(UpdateSeq(message));
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got_at_1.push_back(UpdateSeq(env.payload));
   });
-  transport.SetHandler(0, [&](SiteId, ProtocolMessage message, bool) {
-    got_at_0.push_back(UpdateSeq(message));
+  transport.SetHandler(0, [&](ReliableTransport::Envelope env) {
+    got_at_0.push_back(UpdateSeq(env.payload));
   });
 
   rt.Spawn(PostBursts(&rt, &transport));

@@ -49,7 +49,7 @@ TEST(FlagsTest, CliRoundTripsEveryFlag) {
       "--deadlock=wait_die", "--retry", "--tree=greedy",
       "--backedges=weighted", "--lww", "--wal",
       "--faults=drop:0.01,dup:0.02,delay:2ms,crash:1@500ms+50ms",
-      "--batch-window=2", "--batch-bytes=4096", "--piggyback-acks",
+      "--batch-window=2", "--piggyback-acks",
       "--group-commit", "--no-check", "--warmup-ms=5", "--seeds=2",
       "--trace=t.jsonl", "--metrics-out=m.prom", "--trace-out=t.json",
       "--per-site", "--hist"};

@@ -173,7 +173,9 @@ RunFootprint RunDagWt(int txns_per_thread) {
   const size_t live_before = g_live_bytes.load();
   RunFootprint out;
   {
-    auto system = System::Create(std::move(config));
+    // A copy, not a move: moving the config's disengaged optionals
+    // trips GCC 12's -Wmaybe-uninitialized here.
+    auto system = System::Create(config);
     LAZYREP_CHECK(system.ok()) << system.status().ToString();
     const RunMetrics metrics = (*system)->Run();
     LAZYREP_CHECK(!metrics.timed_out && metrics.serializable)

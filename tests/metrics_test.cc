@@ -56,15 +56,6 @@ TEST(MetricsTest, UnknownOriginApplicationsAreIgnored) {
   EXPECT_EQ(m.per_site_apply_ms().count(), 0);
 }
 
-TEST(MetricsTest, CancelPropagationDropsPending) {
-  MetricsCollector m(1);
-  m.RegisterPropagation(Id(0, 1), 3, 0);
-  m.CancelPropagation(Id(0, 1));
-  EXPECT_EQ(m.pending_propagations(), 0u);
-  m.OnSecondaryApplied(Id(0, 1), Millis(5));  // No effect.
-  EXPECT_EQ(m.full_propagation_ms().count(), 0);
-}
-
 TEST(MetricsTest, ResponsePercentilesTrackCommits) {
   MetricsCollector m(1);
   for (int i = 1; i <= 100; ++i) m.OnPrimaryCommit(0, Millis(i));

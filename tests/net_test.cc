@@ -99,7 +99,6 @@ TEST(NetworkTest, EnvelopeCarriesMetadata) {
   sim.Run();
   EXPECT_EQ(seen.src, 1);
   EXPECT_EQ(seen.dst, 0);
-  EXPECT_EQ(seen.send_time, Millis(10));
   EXPECT_EQ(seen.payload, 9);
 }
 
@@ -285,7 +284,6 @@ TEST(NetworkTest, SharedMediumSerializesAllChannels) {
   IntNet::Config cfg;
   cfg.latency = 0;
   cfg.bandwidth_bytes_per_sec = 1000;
-  cfg.shared_medium = true;
   IntNet net(&rt, 3, cfg, {nullptr, nullptr, nullptr}, Rng(1));
   net.SetSizer([](const int&) { return static_cast<size_t>(5); });
   std::vector<SimTime> arrivals;
@@ -298,27 +296,6 @@ TEST(NetworkTest, SharedMediumSerializesAllChannels) {
   ASSERT_EQ(arrivals.size(), 2u);
   EXPECT_EQ(arrivals[0], Millis(5));
   EXPECT_EQ(arrivals[1], Millis(10));
-}
-
-TEST(NetworkTest, PointToPointLinksAreIndependent) {
-  SimRuntime rt;
-  Simulator& sim = *rt.simulator();
-  IntNet::Config cfg;
-  cfg.latency = 0;
-  cfg.bandwidth_bytes_per_sec = 1000;
-  cfg.shared_medium = false;
-  IntNet net(&rt, 3, cfg, {nullptr, nullptr, nullptr}, Rng(1));
-  net.SetSizer([](const int&) { return static_cast<size_t>(5); });
-  std::vector<SimTime> arrivals;
-  auto handler = [&](IntNet::Envelope) { arrivals.push_back(sim.Now()); };
-  net.SetHandler(1, handler);
-  net.SetHandler(2, handler);
-  net.Post(0, 1, 1);
-  net.Post(0, 2, 2);
-  sim.Run();
-  ASSERT_EQ(arrivals.size(), 2u);
-  EXPECT_EQ(arrivals[0], Millis(5));
-  EXPECT_EQ(arrivals[1], Millis(5));  // Parallel links.
 }
 
 TEST(NetworkTest, LoopbackSkipsBusAndUsesLoopbackLatency) {
@@ -449,8 +426,7 @@ TEST_P(NetworkBackendTest, ContentionHammerKeepsFifoAndConservation) {
   IntNet::Config cfg;
   cfg.latency = Micros(50);
   cfg.jitter = Micros(200);  // Exercises the shared RNG critical section.
-  cfg.bandwidth_bytes_per_sec = 1250000;
-  cfg.shared_medium = false;  // Point-to-point: lock-free link clocks.
+  cfg.bandwidth_bytes_per_sec = 1250000;  // The shared bus's lock.
   IntNet net(rt.get(), kSites, cfg,
              std::vector<Resource*>(kSites, nullptr), Rng(23));
   net.SetSizer([](const int&) { return static_cast<size_t>(64); });

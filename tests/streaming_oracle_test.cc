@@ -600,7 +600,9 @@ TEST_P(OracleAgreementTest, QuiescenceCheckersReachTheOracleVerdicts) {
     ++violations;
     ExpectWitnessIsACycle(history.records(), verdict.cycle);
   }
-  if (control) EXPECT_GT(violations, 0) << "the control found no violation";
+  if (control) {
+    EXPECT_GT(violations, 0) << "the control found no violation";
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -72,18 +72,6 @@ const ValidateCase kValidateCases[] = {
     {"negative batch window",
      [](SystemConfig* c) { c->batching.window = -1; },
      "batching window must be >= 0"},
-    {"zero batch bytes",
-     [](SystemConfig* c) {
-       c->batching.window = Millis(1);
-       c->batching.max_bytes = 0;
-     },
-     "batching max_bytes must be > 0"},
-    {"ack delay",
-     [](SystemConfig* c) {
-       c->batching.piggyback_acks = true;
-       c->batching.ack_delay = 0;
-     },
-     "piggybacked acks need a positive ack_delay"},
     {"group commit without wal",
      [](SystemConfig* c) { c->batching.wal_group_commit = true; },
      "wal_group_commit requires enable_wal"},
