@@ -32,7 +32,7 @@ runtime::Co<Status> ReplicationEngine::RunLocalTxn(
       LAZYREP_CHECK_EQ(ctx_.routing->placement().primary[op.item],
                        ctx_.site)
           << "transactions may only update local primary copies";
-      Value value = EncodeValue(txn->id(), op_index);
+      Value value = ProvenanceValue(txn->id(), op_index);
       st = co_await ctx_.db->Write(txn, op.item, value);
       if (st.ok() && writes != nullptr) {
         // Record the final value per item (last write wins within the

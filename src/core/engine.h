@@ -176,15 +176,6 @@ class ReplicationEngine {
                    ProtocolMessage(TpcAck{origin}));
   }
 
-  /// The value a committed transaction installs: unique per (txn, op) so
-  /// replica-convergence checks compare exact provenance.
-  static Value EncodeValue(GlobalTxnId id, int op_index) {
-    // +1 offsets keep every written value distinct from the initial 0.
-    return (static_cast<Value>(id.origin_site + 1) << 48) |
-           (static_cast<Value>((id.seq + 1) & 0xFFFFFFFFFF) << 8) |
-           static_cast<Value>(op_index & 0xFF);
-  }
-
   /// Executes the spec's operations locally under strict 2PL (the common
   /// primary-subtransaction body of all lazy protocols: every read and
   /// write is local, §1.1). On abort the transaction is already rolled

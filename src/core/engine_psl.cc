@@ -13,7 +13,7 @@ runtime::Co<Status> PslEngine::ExecutePrimary(GlobalTxnId id,
       LAZYREP_CHECK_EQ(ctx_.routing->placement().primary[op.item],
                        ctx_.site);
       st = co_await ctx_.db->Write(txn, op.item,
-                                   EncodeValue(id, op_index));
+                                   ProvenanceValue(id, op_index));
     } else if (ctx_.routing->placement().primary[op.item] == ctx_.site) {
       Value ignored = 0;
       st = co_await ctx_.db->Read(txn, op.item, &ignored);

@@ -37,12 +37,27 @@ void PutTxnId(Sink* s, const GlobalTxnId& id) {
   s->Signed(id.seq);
 }
 
+/// A written value travels as its wrapping difference from
+/// `ProvenanceValue(origin, 0)`, where `origin` heads the same message:
+/// a value the program writes is then its op index (one byte), and any
+/// other int64 still round-trips exactly (up to ten bytes).
+int64_t ValueDelta(Value value, Value base) {
+  return static_cast<int64_t>(static_cast<uint64_t>(value) -
+                              static_cast<uint64_t>(base));
+}
+Value ValueFromDelta(int64_t delta, Value base) {
+  return static_cast<Value>(static_cast<uint64_t>(base) +
+                            static_cast<uint64_t>(delta));
+}
+
 template <typename Sink>
-void PutWrites(Sink* s, const std::vector<WriteRecord>& writes) {
+void PutWrites(Sink* s, const GlobalTxnId& origin,
+               const std::vector<WriteRecord>& writes) {
   s->Varint(writes.size());
+  const Value base = ProvenanceValue(origin, 0);
   for (const WriteRecord& w : writes) {
     s->Signed(w.item);
-    s->Signed(w.value);
+    s->Signed(ValueDelta(w.value, base));
   }
 }
 
@@ -83,20 +98,20 @@ struct EncodeVisitor {
     if (u.origin_commit_seq != 0) s->Signed(u.origin_commit_seq);
     if (u.ts_shared != 0) s->Varint(u.ts_shared);
     if (has_ts) PutTimestamp(s, u.ts);
-    PutWrites(s, u.writes);
+    PutWrites(s, u.origin, u.writes);
   }
   void operator()(const BackedgeStart& m) const {
     PutTxnId(s, m.origin);
     s->Signed(m.origin_site);
     s->Signed(m.primary_done_time);
-    PutWrites(s, m.writes);
+    PutWrites(s, m.origin, m.writes);
   }
   void operator()(const BackedgeAbort& m) const { PutTxnId(s, m.origin); }
   void operator()(const TpcPrepare& m) const {
     PutTxnId(s, m.origin);
     s->Signed(m.coordinator);
     s->Byte(m.carries_writes ? 1 : 0);
-    PutWrites(s, m.writes);
+    PutWrites(s, m.origin, m.writes);
   }
   void operator()(const TpcVote& m) const {
     PutTxnId(s, m.origin);
@@ -182,7 +197,7 @@ struct Reader {
   uint64_t MaxCount(size_t min_size) const {
     return (in.size() - pos) / min_size;
   }
-  std::vector<WriteRecord> Writes() {
+  std::vector<WriteRecord> Writes(const GlobalTxnId& origin) {
     uint64_t n = Varint();
     // Each write is >= 2 bytes (two varints).
     if (!status.ok() || n > MaxCount(2)) {
@@ -191,10 +206,11 @@ struct Reader {
     }
     std::vector<WriteRecord> out;
     out.reserve(n);
+    const Value base = ProvenanceValue(origin, 0);
     for (uint64_t i = 0; i < n && status.ok(); ++i) {
       WriteRecord w;
       w.item = static_cast<ItemId>(Signed());
-      w.value = Signed();
+      w.value = ValueFromDelta(Signed(), base);
       out.push_back(w);
     }
     return out;
@@ -247,7 +263,7 @@ struct Reader {
     if ((flags & 4) != 0) u.origin_commit_seq = Signed();
     if ((flags & 64) != 0) u.ts_shared = SharedCount();
     if ((flags & 32) != 0) u.ts = Ts();
-    u.writes = Writes();
+    u.writes = Writes(u.origin);
     return u;
   }
 };
@@ -272,6 +288,10 @@ Result<uint64_t> Wire::GetVarint(const std::vector<uint8_t>& in,
   int shift = 0;
   while (*pos < in.size() && shift < 64) {
     uint8_t byte = in[(*pos)++];
+    // The tenth byte holds bit 63 alone; anything more is lost bits.
+    if (shift == 63 && byte > 1) {
+      return Status::InvalidArgument("varint overflows 64 bits");
+    }
     value |= static_cast<uint64_t>(byte & 0x7F) << shift;
     if ((byte & 0x80) == 0) return value;
     shift += 7;
@@ -329,7 +349,7 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
       m.origin = r.TxnId();
       m.origin_site = static_cast<SiteId>(r.Signed());
       m.primary_done_time = r.Signed();
-      m.writes = r.Writes();
+      m.writes = r.Writes(m.origin);
       message = std::move(m);
       break;
     }
@@ -344,7 +364,7 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
       m.origin = r.TxnId();
       m.coordinator = static_cast<SiteId>(r.Signed());
       m.carries_writes = r.Byte() != 0;
-      m.writes = r.Writes();
+      m.writes = r.Writes(m.origin);
       message = std::move(m);
       break;
     }

@@ -15,11 +15,17 @@ namespace lazyrep::core {
 /// The simulation passes message objects in-process, but transmission
 /// time on the paper's 10 Mbit ethernet depends on *bytes*, so messages
 /// are given a real encoding: a one-byte kind tag followed by
-/// varint-encoded fields (zig-zag for signed values). `EncodedSize`
-/// computes the exact size without materializing the bytes — that is
-/// what the network's bandwidth model consumes on every Post — while
-/// `Encode`/`Decode` provide the full round trip (used by tests and by
-/// anyone porting the engines onto a real transport).
+/// varint-encoded fields (zig-zag for signed values). A written value
+/// travels as its difference from `ProvenanceValue(origin, 0)`, the base
+/// of the txn id heading the same message (common/types.h): every value
+/// the program writes is `ProvenanceValue(origin, op_index)`, so it costs
+/// one byte, while any other int64 still round-trips exactly in up to
+/// ten. `PslLockResponse::value` is another transaction's value and goes
+/// out raw. `EncodedSize` computes the exact size without materializing
+/// the bytes — that is what the network's bandwidth model consumes on
+/// every Post — while `Encode`/`Decode` provide the full round trip
+/// (used by tests and by anyone porting the engines onto a real
+/// transport).
 class Wire {
  public:
   /// Appends a varint (LEB128) encoding of `value`.
@@ -27,7 +33,8 @@ class Wire {
   /// Appends a zig-zag varint for signed values.
   static void PutSigned(std::vector<uint8_t>* out, int64_t value);
 
-  /// Reads a varint at `*pos`, advancing it. Fails on truncation.
+  /// Reads a varint at `*pos`, advancing it. Fails on truncation and on
+  /// a varint wider than 64 bits.
   static Result<uint64_t> GetVarint(const std::vector<uint8_t>& in,
                                     size_t* pos);
   static Result<int64_t> GetSigned(const std::vector<uint8_t>& in,

@@ -9,8 +9,10 @@
 //    to the origin, origin excluded, so the hop into the origin carries
 //    none; its 2PC prepares carry none.
 //  - Eager's prepares carry those replicated at the participant.
-// A network observer records each posted message; the run's history
-// supplies each committed origin's writes to compare against.
+// A network observer records each posted message and checks that each
+// carried value is its origin's own (what the wire codes in one byte);
+// the run's history supplies each committed origin's writes to compare
+// against.
 
 #include <map>
 #include <memory>
@@ -96,6 +98,17 @@ void Observe(const Case& c, Observed* out) {
           p.writes = t->writes;
         } else {
           return;
+        }
+        // The wire codes each value against its message's own txn id
+        // (core/wire.h); a value outside [base, base + 256) would cost up
+        // to ten bytes instead of one or two.
+        const Value base = ProvenanceValue(p.origin, 0);
+        for (const WriteRecord& w : p.writes) {
+          EXPECT_LT(static_cast<uint64_t>(w.value) -
+                        static_cast<uint64_t>(base),
+                    256u)
+              << "item " << w.item << " of " << p.origin.origin_site << "/"
+              << p.origin.seq;
         }
         std::lock_guard<std::mutex> lock(out->mu);
         out->posted.push_back(std::move(p));

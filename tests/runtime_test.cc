@@ -418,17 +418,23 @@ TEST(SimGoldenMetricsTest, RefactorPreservesScheduleBitForBit) {
   // as per-channel deltas (only the tuples the channel has not seen): the
   // DAG(T) row without the bandwidth model was captured before that
   // change, and both DAG(T) rows then moved only in bytes
-  // (26785 -> 23257).
+  // (26785 -> 23257). Recaptured when written values began to travel as
+  // their difference from the message's own txn id (one byte instead of
+  // eight, core/wire.h). Without the bandwidth model only bytes moved
+  // (BackEdge 11643 -> 7226, DAG(T) 23257 -> 21325). Under the model
+  // DAG(WT) (6684 -> 3541) and DAG(T) (23257 -> 21325) move only in
+  // bytes, and the shorter frames reschedule BackEdge (committed
+  // 787 -> 794, bytes 10402 -> 6152).
   const GoldenRun kGolden[] = {
-      {core::Protocol::kBackEdge, 787, 293, 955, 10402, 1390100000,
-       1390100000, 965, 293},
-      {core::Protocol::kDagWt, 884, 196, 416, 6684, 1058780000, 1068780000,
+      {core::Protocol::kBackEdge, 794, 286, 910, 6152, 1334987200,
+       1334987200, 944, 287},
+      {core::Protocol::kDagWt, 884, 196, 416, 3541, 1058780000, 1068780000,
        923, 196},
-      {core::Protocol::kDagT, 901, 179, 1576, 23257, 1099780000, 1209780000,
+      {core::Protocol::kDagT, 901, 179, 1576, 21325, 1099780000, 1209780000,
        930, 179},
-      {core::Protocol::kBackEdge, 816, 264, 1053, 11643, 1276790000,
+      {core::Protocol::kBackEdge, 816, 264, 1053, 7226, 1276790000,
        1276790000, 955, 264, /*bandwidth=*/false},
-      {core::Protocol::kDagT, 902, 178, 1576, 23257, 1099780000, 1209780000,
+      {core::Protocol::kDagT, 902, 178, 1576, 21325, 1099780000, 1209780000,
        928, 178, /*bandwidth=*/false},
   };
   for (const GoldenRun& golden : kGolden) {

@@ -229,15 +229,101 @@ TEST(WireTest, SizesAreCompact) {
 
 TEST(WireTest, TreeUpdateSendsNoOriginSiteOrTimestamp) {
   // A DAG(WT)/BackEdge/NaiveLazy update: origin site = the txn id's, no
-  // timestamp. Tag, txn id (1 + 2), flags, write count, two writes
-  // (1 + 1 and 2 + 2): 12 bytes, 3 fewer than when the origin site (1)
-  // and the empty timestamp's epoch and tuple count (1 + 1) went inline.
+  // timestamp. Tag, txn id (1 + 2), flags, write count, two writes of
+  // the origin's own values (1 + 1 and 2 + 1): 11 bytes, 3 fewer than
+  // when the origin site (1) and the empty timestamp's epoch and tuple
+  // count (1 + 1) went inline.
   SecondaryUpdate u;
   u.origin = {2, 300};
   u.origin_site = 2;
-  u.writes = {{7, 9}, {100, 1000}};
-  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(u)), 12u);
+  u.writes = {{7, ProvenanceValue(u.origin, 0)},
+              {100, ProvenanceValue(u.origin, 1)}};
+  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(u)), 11u);
   ExpectRoundTrip(ProtocolMessage(u));
+}
+
+/// The three kinds that carry writes, each headed by `origin`.
+std::vector<ProtocolMessage> WriteCarriers(
+    GlobalTxnId origin, const std::vector<WriteRecord>& writes) {
+  SecondaryUpdate update;
+  update.origin = origin;
+  update.origin_site = origin.origin_site;
+  update.writes = writes;
+  BackedgeStart start;
+  start.origin = origin;
+  start.origin_site = origin.origin_site;
+  start.writes = writes;
+  TpcPrepare prepare;
+  prepare.origin = origin;
+  prepare.carries_writes = true;
+  prepare.writes = writes;
+  return {update, start, prepare};
+}
+
+const std::vector<WriteRecord>& CarriedWrites(const ProtocolMessage& m) {
+  if (const auto* u = std::get_if<SecondaryUpdate>(&m)) return u->writes;
+  if (const auto* s = std::get_if<BackedgeStart>(&m)) return s->writes;
+  return std::get<TpcPrepare>(m).writes;
+}
+
+TEST(WireTest, EveryValueRoundTripsAgainstAnyOrigin) {
+  // Values are coded against the message's own txn id, so the values a
+  // foreign writer or no writer at all installed must survive too, under
+  // the default id and under ids whose tag fields wrap (a seq past the
+  // tag's 40 bits, the largest site and seq).
+  const GlobalTxnId origins[] = {
+      {3, 12345}, GlobalTxnId{}, {2, (1ll << 40) + 5}, {0, INT64_MAX},
+      {INT32_MAX, INT64_MAX}, {INT32_MIN, INT64_MIN}};
+  for (const GlobalTxnId& origin : origins) {
+    SCOPED_TRACE(std::to_string(origin.origin_site) + "/" +
+                 std::to_string(origin.seq));
+    const std::vector<WriteRecord> writes = {
+        {1, INT64_MIN},
+        {2, INT64_MAX},
+        {3, 0},
+        {4, -1},
+        {5, 9},
+        {6, -1000},
+        {7, ProvenanceValue(origin, 0)},
+        {8, ProvenanceValue(origin, 255)},
+        {9, ProvenanceValue({4, 7}, 3)},
+        {10, ProvenanceValue(origin, 0) - 1}};
+    for (const ProtocolMessage& m : WriteCarriers(origin, writes)) {
+      ExpectRoundTrip(m);
+      Result<ProtocolMessage> back = Wire::Decode(Wire::Encode(m));
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      const std::vector<WriteRecord>& got = CarriedWrites(*back);
+      ASSERT_EQ(got.size(), writes.size());
+      for (size_t i = 0; i < writes.size(); ++i) {
+        EXPECT_EQ(got[i].item, writes[i].item);
+        EXPECT_EQ(got[i].value, writes[i].value) << "item " << writes[i].item;
+      }
+    }
+  }
+}
+
+TEST(WireTest, ProvenanceValueCostsOneByte) {
+  // A value its message's origin wrote costs one byte in every kind that
+  // carries writes (op indices below 64 zig-zag to one byte); the item
+  // (one byte here) is the rest of the write. A foreign value costs more.
+  const GlobalTxnId origin{5, 123456};
+  const size_t empty[] = {
+      Wire::EncodedSize(WriteCarriers(origin, {})[0]),
+      Wire::EncodedSize(WriteCarriers(origin, {})[1]),
+      Wire::EncodedSize(WriteCarriers(origin, {})[2])};
+  for (int op : {0, 1, 17, 63}) {
+    const std::vector<ProtocolMessage> carriers =
+        WriteCarriers(origin, {{7, ProvenanceValue(origin, op)}});
+    for (size_t k = 0; k < carriers.size(); ++k) {
+      EXPECT_EQ(Wire::EncodedSize(carriers[k]), empty[k] + 2)
+          << "kind " << carriers[k].index() << " op " << op;
+    }
+  }
+  const std::vector<ProtocolMessage> foreign =
+      WriteCarriers(origin, {{7, ProvenanceValue({6, 123456}, 0)}});
+  for (size_t k = 0; k < foreign.size(); ++k) {
+    EXPECT_GT(Wire::EncodedSize(foreign[k]), empty[k] + 2);
+  }
 }
 
 TEST(WireTest, TimestampDeltaTravelsBehindFlag64) {
@@ -449,6 +535,63 @@ TEST(WireDecodeTest, RejectsHostileSharedCount) {
   std::vector<uint8_t> cut = with_shared(1ull << 20);
   cut.resize(cut.size() - 2);
   EXPECT_FALSE(Wire::Decode(cut).ok());
+}
+
+TEST(WireDecodeTest, RejectsOverlongVarint) {
+  // The tenth byte of a varint holds bit 63 alone: the canonical
+  // UINT64_MAX ends in 0x01, and a larger tenth byte would drop bits.
+  std::vector<uint8_t> max = {12};  // ChannelAck.
+  max.insert(max.end(), 9, 0xFF);
+  max.push_back(0x01);
+  EXPECT_EQ(Wire::Encode(ProtocolMessage(ChannelAck{UINT64_MAX})), max);
+  Result<ProtocolMessage> ok = Wire::Decode(max);
+  ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+  EXPECT_EQ(std::get<ChannelAck>(*ok).cum_ack, UINT64_MAX);
+  for (uint8_t last : {0x02, 0x7F}) {
+    std::vector<uint8_t> bytes = max;
+    bytes.back() = last;
+    EXPECT_FALSE(Wire::Decode(bytes).ok()) << "tenth byte " << int{last};
+    size_t pos = 1;
+    EXPECT_FALSE(Wire::GetVarint(bytes, &pos).ok());
+  }
+  // Ten bytes with the last continuing: still too long.
+  std::vector<uint8_t> eleven(10, 0x80);
+  eleven.push_back(0x00);
+  size_t pos = 0;
+  EXPECT_FALSE(Wire::GetVarint(eleven, &pos).ok());
+}
+
+TEST(WireDecodeTest, RandomValueBytesDecodeToTheirValue) {
+  // Random bytes in the value slot of a write, under a random origin:
+  // the decoder either rejects them or yields a value that round-trips,
+  // and never overflows (UBSan runs this).
+  Rng rng(987);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const GlobalTxnId origin{static_cast<SiteId>(rng.Next32()),
+                             static_cast<int64_t>(rng.Next64())};
+    std::vector<uint8_t> bytes = {0x00};  // SecondaryUpdate.
+    Wire::PutSigned(&bytes, origin.origin_site);
+    Wire::PutSigned(&bytes, origin.seq);
+    bytes.push_back(0x00);                // flags
+    Wire::PutVarint(&bytes, 1);           // write count
+    Wire::PutSigned(&bytes, 7);           // item
+    const size_t n = 1 + rng.Below(11);
+    for (size_t i = 0; i < n; ++i) {
+      uint8_t b = static_cast<uint8_t>(rng.Below(256));
+      if (i + 1 == n) b &= 0x7F;          // Usually ends the varint.
+      bytes.push_back(b);
+    }
+    Result<ProtocolMessage> decoded = Wire::Decode(bytes);
+    if (!decoded.ok()) continue;
+    const auto& u = std::get<SecondaryUpdate>(*decoded);
+    ASSERT_EQ(u.writes.size(), 1u);
+    EXPECT_EQ(u.origin, origin);
+    ExpectRoundTrip(*decoded);
+    Result<ProtocolMessage> again = Wire::Decode(Wire::Encode(*decoded));
+    ASSERT_TRUE(again.ok());
+    EXPECT_EQ(std::get<SecondaryUpdate>(*again).writes[0].value,
+              u.writes[0].value);
+  }
 }
 
 TEST(WireDecodeTest, RandomByteFuzz) {
