@@ -666,12 +666,12 @@ void Multicore(const BenchOptions& options) {
   }
 }
 
-// Transport frame coalescing, ack piggybacking and WAL group commit
-// (docs/PERFORMANCE.md §6) for the three lazy tree protocols at the
-// defaults, against a baseline (window 0) through the same reliable
-// transport with batching off, so the comparison isolates batching
-// itself. Per committed transaction: first-transmission data and batch
-// frames, standalone acks (piggybacked ones ride data frames free) and
+// Transport frame coalescing and WAL group commit (docs/PERFORMANCE.md
+// §6) for the three lazy tree protocols at the defaults, against a
+// baseline (window 0) through the same reliable transport with batching
+// off, so the comparison isolates batching itself. Per committed
+// transaction: first-transmission data and batch frames, standalone acks
+// (delayed acks that found no reverse frame to ride) and
 // WAL sync boundaries (the fsync stand-in). Batching buys nothing if it
 // breaks the protocol, so every run is checked.
 void Batching(const BenchOptions& options) {
@@ -700,7 +700,6 @@ void Batching(const BenchOptions& options) {
         config.batching.force_transport = true;  // Baseline arm.
       } else {
         config.batching.window = Millis(window_ms);
-        config.batching.piggyback_acks = true;
         config.batching.wal_group_commit = true;
       }
       // Seeds 1..N, not RunSeeds' spacing (BENCH_batching.json's rows):

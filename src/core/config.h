@@ -126,11 +126,13 @@ struct EngineOptions {
   bool operator==(const EngineOptions&) const = default;
 };
 
-/// Transport-level batching (docs/PERFORMANCE.md §6): frame coalescing,
-/// ack piggybacking and WAL group commit in the reliable-delivery layer.
-/// All off by default — fault-free sim schedules stay byte-identical to
-/// a build without this struct. Enabling any knob routes traffic through
-/// `fault::ReliableTransport` even when no faults are injected.
+/// Transport-level batching (docs/PERFORMANCE.md §6): frame coalescing
+/// in the reliable-delivery layer and WAL group commit. All off by
+/// default — fault-free sim schedules stay byte-identical to a build
+/// without this struct. Enabling any knob routes traffic through
+/// `fault::ReliableTransport` even when no faults are injected. Acks are
+/// not a knob: the transport always delays them and lets them ride
+/// reverse-direction frames (docs/FAULTS.md).
 struct BatchingOptions {
   /// Flush lull for a channel's send buffer (`--batch-window`): messages
   /// posted within the window coalesce into one `ReliableBatch` frame.
@@ -138,11 +140,6 @@ struct BatchingOptions {
   /// also flushes early once it holds
   /// `fault::ReliableTransport::kBatchBytes` (16 KiB) of encodings.
   Duration window = 0;
-  /// Carry cumulative acks on reverse-direction data frames instead of
-  /// sending a standalone `ChannelAck` per receipt; a standalone ack
-  /// still goes out after `fault::ReliableTransport::kAckDelay` (5 ms)
-  /// if no reverse traffic appears.
-  bool piggyback_acks = false;
   /// WAL group commit at secondaries: one delivered batch = one WAL sync
   /// boundary instead of one per applied subtransaction.
   bool wal_group_commit = false;
@@ -152,8 +149,7 @@ struct BatchingOptions {
   bool force_transport = false;
 
   bool enabled() const {
-    return window > 0 || piggyback_acks || wal_group_commit ||
-           force_transport;
+    return window > 0 || wal_group_commit || force_transport;
   }
 
   bool operator==(const BatchingOptions&) const = default;
@@ -207,8 +203,7 @@ struct SystemConfig {
   /// additionally require `enable_wal` and one of the lazy tree
   /// protocols (DAG(WT)/DAG(T)/BackEdge) with batching off.
   std::optional<fault::FaultPlan> faults;
-  /// Transport batching (frame coalescing / ack piggybacking / WAL group
-  /// commit). Independent of `faults`: enabling it constructs the
+  /// Transport batching (frame coalescing / WAL group commit). Independent of `faults`: enabling it constructs the
   /// reliable transport even without an injector.
   BatchingOptions batching;
   /// Schedule-exploration perturbations (lazychk, docs/CHECKING.md):

@@ -137,11 +137,15 @@ struct SecondaryBatch {
 /// protocol message on a (src, dst) channel. `inner` is the wrapped
 /// message's `Wire::Encode` bytes — carrying the encoding rather than
 /// the variant avoids a recursive variant, exercises the codec on every
-/// delivery, and makes the byte accounting exact.
+/// delivery, and makes the byte accounting exact. On the wire `seq` and
+/// a has-ack bit share one varint, the ack follows only when carried, and
+/// `inner` runs to the end of the frame (no length prefix).
 struct ReliableData {
+  /// Below 2^63: the top bit makes room for the has-ack flag.
   uint64_t seq = 0;
   /// Piggybacked cumulative ack for the reverse channel (dst -> src data):
-  /// 0 means "none carried" (real cumulative acks start at 1).
+  /// 0 means "none carried" (real cumulative acks start at 1). The
+  /// transport sets it only when the reverse channel owes an ack.
   uint64_t piggyback_ack = 0;
   std::vector<uint8_t> inner;
 };
@@ -154,8 +158,9 @@ struct ChannelAck {
 
 /// Reliable-delivery layer, coalesced: N inner protocol messages shipped
 /// under one channel sequence number. `inner` holds `count` records of
-/// [varint length][Wire::Encode bytes], in channel-FIFO order. Same
-/// piggyback semantics as `ReliableData`.
+/// [varint length][Wire::Encode bytes], in channel-FIFO order, and runs
+/// to the end of the frame. Same header and piggyback semantics as
+/// `ReliableData`, with `count` after the header.
 struct ReliableBatch {
   uint64_t seq = 0;
   uint64_t piggyback_ack = 0;

@@ -304,9 +304,9 @@ Status System::Build() {
 
   // Fault injection: an enabled plan interposes the reliable-delivery
   // layer between the engines and the (now possibly lossy) network.
-  // Transport batching (frame coalescing / ack piggybacking) lives in
-  // that same layer, so enabling it also interposes the transport —
-  // with a null injector when no faults are configured. Without either,
+  // Transport batching (frame coalescing) lives in that same layer, so
+  // enabling it also interposes the transport — with a null injector
+  // when no faults are configured. Without either,
   // none of this exists and engine traffic takes the exact same path it
   // always did.
   const bool want_faults = config_.faults.has_value() &&

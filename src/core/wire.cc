@@ -143,19 +143,25 @@ struct EncodeVisitor {
     s->Varint(m.updates.size());
     for (const SecondaryUpdate& u : m.updates) (*this)(u);
   }
+  // A transport frame's inner bytes run to the end of the frame, so they
+  // need no length prefix.
   void operator()(const ReliableData& m) const {
-    s->Varint(m.seq);
-    s->Varint(m.piggyback_ack);
-    s->Varint(m.inner.size());
+    PutFrameHeader(m.seq, m.piggyback_ack);
     s->Bytes(m.inner.data(), m.inner.size());
   }
   void operator()(const ChannelAck& m) const { s->Varint(m.cum_ack); }
   void operator()(const ReliableBatch& m) const {
-    s->Varint(m.seq);
-    s->Varint(m.piggyback_ack);
+    PutFrameHeader(m.seq, m.piggyback_ack);
     s->Varint(m.count);
-    s->Varint(m.inner.size());
     s->Bytes(m.inner.data(), m.inner.size());
+  }
+  /// `seq << 1 | has_ack`, then the piggybacked ack only when one rides
+  /// the frame (0 means none).
+  void PutFrameHeader(uint64_t seq, uint64_t piggyback_ack) const {
+    LAZYREP_CHECK_LT(seq, uint64_t{1} << 63)
+        << "frame seq " << seq << " leaves no room for the ack flag";
+    s->Varint(seq << 1 | (piggyback_ack != 0 ? 1 : 0));
+    if (piggyback_ack != 0) s->Varint(piggyback_ack);
   }
 };
 
@@ -184,6 +190,25 @@ struct Reader {
     return *r;
   }
   int64_t Signed() { return UnZigZag(Varint()); }
+
+  /// A transport frame's `seq << 1 | has_ack` and, when flagged, its
+  /// piggybacked ack (never 0: the encoder would not flag it).
+  void FrameHeader(uint64_t* seq, uint64_t* piggyback_ack) {
+    const uint64_t head = Varint();
+    *seq = head >> 1;
+    if ((head & 1) == 0) return;
+    *piggyback_ack = Varint();
+    if (status.ok() && *piggyback_ack == 0) {
+      status = Status::InvalidArgument("flagged piggyback ack is 0");
+    }
+  }
+  /// Copies every byte after the cursor into `*out` (a frame's inner
+  /// run, which ends with the frame).
+  void Rest(std::vector<uint8_t>* out) {
+    if (!status.ok()) return;
+    out->assign(in.begin() + static_cast<ptrdiff_t>(pos), in.end());
+    pos = in.size();
+  }
 
   GlobalTxnId TxnId() {
     GlobalTxnId id;
@@ -431,19 +456,13 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
     }
     case 11: {
       ReliableData m;
-      m.seq = r.Varint();
-      m.piggyback_ack = r.Varint();
-      uint64_t n = r.Varint();
-      if (r.status.ok() && n > r.MaxCount(1)) {
-        r.status = Status::InvalidArgument("bad inner length");
+      r.FrameHeader(&m.seq, &m.piggyback_ack);
+      if (r.status.ok() && r.pos == bytes.size()) {
+        r.status = Status::InvalidArgument("empty frame inner");
       }
-      if (r.status.ok()) {
-        // Bulk copy: `inner` is an opaque byte run (the wrapped
-        // message's encoding), decoded on every reliable delivery.
-        m.inner.assign(bytes.begin() + static_cast<ptrdiff_t>(r.pos),
-                       bytes.begin() + static_cast<ptrdiff_t>(r.pos + n));
-        r.pos += n;
-      }
+      // Bulk copy: `inner` is an opaque byte run (the wrapped message's
+      // encoding), decoded on every reliable delivery.
+      r.Rest(&m.inner);
       message = std::move(m);
       break;
     }
@@ -455,21 +474,15 @@ Result<ProtocolMessage> Wire::Decode(const std::vector<uint8_t>& bytes) {
     }
     case 13: {
       ReliableBatch m;
-      m.seq = r.Varint();
-      m.piggyback_ack = r.Varint();
+      r.FrameHeader(&m.seq, &m.piggyback_ack);
       uint64_t count = r.Varint();
-      uint64_t n = r.Varint();
       // Each inner record is >= 2 bytes (length varint + one payload
-      // byte); the byte run itself is bounded by what's left.
-      if (r.status.ok() && (count > r.MaxCount(2) || n > r.MaxCount(1))) {
+      // byte), and the records are all that is left.
+      if (r.status.ok() && count > r.MaxCount(2)) {
         r.status = Status::InvalidArgument("bad batch frame");
       }
-      if (r.status.ok()) {
-        m.count = static_cast<uint32_t>(count);
-        m.inner.assign(bytes.begin() + static_cast<ptrdiff_t>(r.pos),
-                       bytes.begin() + static_cast<ptrdiff_t>(r.pos + n));
-        r.pos += n;
-      }
+      m.count = static_cast<uint32_t>(count);
+      r.Rest(&m.inner);
       message = std::move(m);
       break;
     }

@@ -22,34 +22,39 @@
 namespace lazyrep::fault {
 
 /// Restores the engines' reliable exactly-once FIFO channel contract
-/// over a lossy `Network` (ARQ, TCP-style): every engine message is
-/// wrapped in a `ReliableData` frame carrying a per-(src, dst)-channel
-/// sequence number and the `Wire::Encode` bytes of the wrapped message;
-/// the receiver delivers frames in sequence order (stashing out-of-order
-/// arrivals, discarding duplicates) and returns a cumulative `ChannelAck`
-/// on every data receipt; when a channel makes no progress for one RTO
+/// over a lossy `Network` the way TCP does (docs/FAULTS.md): every
+/// engine message is wrapped in a `ReliableData` frame carrying a
+/// per-(src, dst)-channel sequence number and the `Wire::Encode` bytes of
+/// the wrapped message; the receiver delivers frames in sequence order
+/// (stashing out-of-order arrivals, discarding duplicates) and owes the
+/// sender a cumulative ack; when a channel makes no progress for one RTO
 /// the sender resends the head-of-window frame (cumulative acks make
-/// repairing the head gap sufficient), with capped exponential backoff.
-/// Acks travel on the raw network — they are lossy too, but cumulative,
-/// so any later ack supersedes a lost one.
+/// repairing the head gap sufficient) and backs off.
+///
+///  - Delayed acks (RFC 1122 §4.2.3.2): a receipt, duplicates included,
+///    marks its channel "ack owed". The owed ack rides the next
+///    reverse-direction data or batch frame as its `piggyback_ack`; if
+///    none goes out within `kAckDelay`, the ack goes out standalone as a
+///    `ChannelAck`. A frame carries an ack only when one is owed. Acks
+///    are cumulative, so any later ack supersedes a lost one, and a lost
+///    final ack is repaired by the retransmission it provokes. When the
+///    network charges per-message CPU (the paper's cost model), acks do
+///    not ride frames: see `acks_ride_frames_`.
+///  - Adaptive RTO (RFC 6298, `RttEstimator`): each channel keeps its own
+///    smoothed round trip, sampled from the acked frames' first-send
+///    stamps. Karn's rule: an ack that covers a retransmitted frame gives
+///    no sample. A timeout doubles the channel's RTO; progress resets it.
 ///
 /// Every post takes one path: it is encoded into its channel's send
 /// buffer, and the buffer ships as one frame — a plain `ReliableData`
 /// when it holds one message, a `ReliableBatch` (one sequence number, N
-/// length-prefixed inner encodings) otherwise. Batching
-/// (`core::BatchingOptions`, docs/PERFORMANCE.md §6) is off by default:
-///  - Frame coalescing (`window > 0`): the buffer flushes when it
-///    reaches `kBatchBytes` or the window elapses. With window 0 every
-///    post flushes at once, as a one-message `ReliableData`. Flush order
-///    is post order, so per-channel FIFO — and with it DAG(T)'s
-///    timestamp order — is untouched.
-///  - Ack piggybacking (`piggyback_acks`): a receipt marks the channel
-///    "ack owed" instead of posting a standalone `ChannelAck`; the next
-///    reverse-direction data/batch frame carries the cumulative ack in
-///    its `piggyback_ack` field, and a fallback timer sends the
-///    standalone ack after `kAckDelay` if no reverse traffic appears.
-///    Piggybacks are cumulative like everything else, so a lost one is
-///    repaired by any later ack (standalone or piggybacked).
+/// length-prefixed inner encodings) otherwise. Frame coalescing
+/// (`core::BatchingOptions::window`, docs/PERFORMANCE.md §6) is off by
+/// default: with window 0 every post flushes at once, as a one-message
+/// `ReliableData`; with `window > 0` the buffer flushes when it reaches
+/// `kBatchBytes` or the window elapses. Flush order is post order, so
+/// per-channel FIFO — and with it DAG(T)'s timestamp order — is
+/// untouched.
 ///
 /// Channel layout and confinement (no locks on the hot path): channel
 /// cells are materialized on first touch, so memory is O(touched
@@ -76,24 +81,82 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   using Message = core::ProtocolMessage;
   using Net = net::Network<Message>;
 
-  /// Initial retransmission timeout. A data+ack round trip is not just
-  /// two 0.15 ms wire hops: under the paper's cost model each message
-  /// charges 0.5 ms of CPU at the sender and receiver, so even through
-  /// idle CPUs the round trip is ~2.3 ms — and CPU queueing on a loaded
-  /// machine stretches it much further. A timeout below the real round
-  /// trip is self-amplifying (every spurious retransmission burns more
-  /// CPU, delaying acks further), so leave generous room.
-  static constexpr Duration kRtoInitial = Millis(10);
-  /// Retransmission backoff cap.
-  static constexpr Duration kRtoMax = Millis(100);
-  /// Fallback delay before an owed (piggybackable) ack goes out
-  /// standalone.
+  /// How long an owed ack waits for a reverse-direction frame to ride
+  /// before it goes out standalone.
   static constexpr Duration kAckDelay = Millis(5);
-  static_assert(kAckDelay < kRtoInitial,
-                "the ack fallback must undercut the RTO, or the sender "
-                "retransmits before a quiet receiver ever acks");
+  /// Room for an idle data + ack round trip with the ack sent at once.
+  /// It is not just two 0.15 ms wire hops: under the paper's cost model
+  /// each message charges 0.5 ms of CPU at the sender and receiver, so
+  /// even through idle CPUs the round trip is ~2.3 ms, and CPU queueing
+  /// stretches it further. A timeout below the real round trip is
+  /// self-amplifying (every spurious retransmission burns more CPU,
+  /// delaying acks further), so leave generous room.
+  static constexpr Duration kIdleRoundTrip = Millis(10);
+  /// RTO floor, and the RTO before a channel's first sample.
+  static constexpr Duration kRtoMin = Millis(15);
+  static_assert(kRtoMin >= kIdleRoundTrip + kAckDelay,
+                "an RTO must not fire before a delayed ack could return "
+                "on an idle path");
+  /// RTO ceiling, backoff included.
+  static constexpr Duration kRtoMax = Millis(100);
+  static_assert(kRtoMin < kRtoMax);
   /// Size flush threshold for a channel's send buffer.
   static constexpr size_t kBatchBytes = 16 * 1024;
+
+  /// One channel's retransmission timeout, fitted to its measured round
+  /// trip as RFC 6298 does it: the first sample R sets SRTT = R and
+  /// RTTVAR = R/2; later ones update RTTVAR += (|SRTT - R| - RTTVAR)/4,
+  /// then SRTT += (R - SRTT)/8. RTO = SRTT + 4·RTTVAR, clamped to
+  /// [`kRtoMin`, `kRtoMax`], and `kRtoMin` before the first sample.
+  /// `Backoff` doubles the current RTO (capped); progress resets it. The
+  /// caller applies Karn's rule: an ack that covers a retransmitted
+  /// frame, whose round trip is ambiguous, is `Progress` without a
+  /// `Sample`.
+  class RttEstimator {
+   public:
+    /// An ack retired frames and gave a round-trip sample.
+    void Sample(Duration rtt) {
+      if (!sampled_) {
+        sampled_ = true;
+        srtt_ = rtt;
+        rttvar_ = rtt / 2;
+      } else {
+        const Duration error = rtt > srtt_ ? rtt - srtt_ : srtt_ - rtt;
+        rttvar_ += (error - rttvar_) / kBetaInverse;
+        srtt_ += (rtt - srtt_) / kAlphaInverse;
+      }
+      rto_ = Fitted();
+    }
+    /// An ack retired frames but gave no sample. The backoff ends, unless
+    /// the channel has no sample yet: then it holds, or on a path slower
+    /// than `kRtoMin` every frame would be resent and no ack would ever
+    /// give one. (Holding it after a sample too would compound the
+    /// backoff across the holes of one lossy window.)
+    void Progress() {
+      if (sampled_) rto_ = Fitted();
+    }
+    void Backoff() { rto_ = std::min(rto_ * 2, kRtoMax); }
+
+    bool sampled() const { return sampled_; }
+    Duration srtt() const { return srtt_; }
+    Duration rttvar() const { return rttvar_; }
+    Duration rto() const { return rto_; }
+
+   private:
+    Duration Fitted() const {
+      return std::clamp(srtt_ + kVarianceWeight * rttvar_, kRtoMin, kRtoMax);
+    }
+
+    /// RFC 6298's gains α = 1/8 and β = 1/4, and K = 4.
+    static constexpr Duration kAlphaInverse = 8;
+    static constexpr Duration kBetaInverse = 4;
+    static constexpr Duration kVarianceWeight = 4;
+
+    bool sampled_ = false;
+    Duration srtt_ = 0;
+    Duration rttvar_ = 0;
+    Duration rto_ = kRtoMin;
+  };
 
   ReliableTransport(runtime::Runtime* rt, Net* net, FaultInjector* injector,
                     int num_sites, core::BatchingOptions batching = {})
@@ -102,6 +165,8 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         net_(net),
         injector_(injector),
         batching_(batching),
+        acks_ride_frames_(net->config().send_cpu == 0 &&
+                          net->config().recv_cpu == 0),
         num_sites_(num_sites),
         send_(static_cast<size_t>(num_sites)),
         recv_(static_cast<size_t>(num_sites)),
@@ -229,12 +294,13 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   uint64_t batch_frames_sent() const {
     return batch_frames_sent_.load(std::memory_order_acquire);
   }
-  /// Standalone `ChannelAck` frames posted (per-receipt or fallback).
+  /// Standalone `ChannelAck` frames posted (owed acks that found no
+  /// reverse frame to ride within `kAckDelay`).
   uint64_t acks_standalone() const {
     return acks_standalone_.load(std::memory_order_acquire);
   }
-  /// Cumulative acks that rode a reverse-direction data/batch frame
-  /// while owed (each one a standalone ack not sent).
+  /// Owed cumulative acks that rode a reverse-direction data/batch frame
+  /// (each one a standalone ack not sent).
   uint64_t acks_piggybacked() const {
     return acks_piggybacked_.load(std::memory_order_acquire);
   }
@@ -247,6 +313,13 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   /// exact only once traffic has quiesced).
   size_t allocated_send_channels() const { return CountCells(send_); }
   size_t allocated_recv_channels() const { return CountCells(recv_); }
+  /// Channel (src, dst)'s round-trip estimator, or null before its first
+  /// frame (test introspection; read it once traffic has quiesced).
+  const RttEstimator* rtt(SiteId src, SiteId dst) const {
+    const auto& sent = send_[static_cast<size_t>(Check(src))];
+    auto it = sent.find(dst);
+    return it == sent.end() ? nullptr : &it->second.rtt;
+  }
 
  private:
   struct Outstanding {
@@ -256,7 +329,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     uint64_t seq = 0;
     /// Messages inside the frame counting toward `Quiescent`.
     int counted = 0;
-    /// When the frame first hit the wire (ack RTT measurement).
+    /// When the frame first hit the wire (round-trip samples).
     SimTime first_sent = 0;
     /// At least one retransmission happened; its ack RTT is ambiguous.
     bool retransmitted = false;
@@ -264,6 +337,11 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   struct SendState {
     uint64_t next_seq = 1;
     std::deque<Outstanding> unacked;
+    RttEstimator rtt;
+    /// When the retransmission timer last (re)started: the head frame's
+    /// send on an idle channel, the last ack that retired frames, or the
+    /// last resend (RFC 6298 §5.1, §5.3, §5.6).
+    SimTime timer_start = 0;
     bool retransmitter_running = false;
     /// Reused framing buffer (machine-confined like the rest of the
     /// channel's send state).
@@ -283,7 +361,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   struct RecvState {
     uint64_t next_expected = 1;
     std::map<uint64_t, Stashed> stash;
-    /// Piggybacking: a receipt happened and no ack has gone out yet.
+    /// A receipt happened and no ack has gone out since.
     bool ack_owed = false;
     bool ack_timer_running = false;
   };
@@ -318,23 +396,19 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     return s;
   }
 
-  /// Consumes the owed-ack state of the reverse channel (data flowing
+  /// Consumes the owed ack of the reverse channel (data flowing
   /// dst -> src) and returns the cumulative ack to carry on a (src, dst)
-  /// frame; 0 when nothing was ever received. Runs at `src`, whose own
-  /// receive map holds the (dst, src) state; a channel that never
+  /// frame; 0 (none carried) when no ack is owed. Runs at `src`, whose
+  /// own receive map holds the (dst, src) state; a channel that never
   /// carried data stays unmaterialized.
   uint64_t TakeOwedAck(SiteId src, SiteId dst) {
+    if (!acks_ride_frames_) return 0;
     auto& received = recv_[static_cast<size_t>(src)];
     auto it = received.find(dst);
-    if (it == received.end() || it->second.next_expected <= 1) return 0;
-    RecvState& reverse = it->second;
-    if (reverse.ack_owed) {
-      reverse.ack_owed = false;
-      acks_piggybacked_.fetch_add(1, std::memory_order_acq_rel);
-    }
-    // Carry the cumulative ack even when none is owed: it is free and
-    // supersedes any lost earlier ack.
-    return reverse.next_expected - 1;
+    if (it == received.end() || !it->second.ack_owed) return 0;
+    it->second.ack_owed = false;
+    acks_piggybacked_.fetch_add(1, std::memory_order_acq_rel);
+    return it->second.next_expected - 1;
   }
 
   /// Ships the channel's send buffer as one sequenced frame: a plain
@@ -345,8 +419,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   void FlushChannel(SiteId src, SiteId dst) {
     SendState& ch = SendFor(src, dst);
     if (ch.buffer_count == 0) return;
-    const uint64_t piggyback =
-        batching_.piggyback_acks ? TakeOwedAck(src, dst) : 0;
+    const uint64_t piggyback = TakeOwedAck(src, dst);
     Message frame;
     const uint64_t seq = ch.next_seq++;
     if (ch.buffer_count == 1) {
@@ -368,6 +441,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
       frame = std::move(batch);
       batch_frames_sent_.fetch_add(1, std::memory_order_acq_rel);
     }
+    if (ch.unacked.empty()) ch.timer_start = rt_->Now();
     ch.unacked.push_back(
         Outstanding{frame, seq, ch.buffer_counted, rt_->Now(), false});
     ch.buffer.clear();
@@ -489,17 +563,16 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         }
       }
     }
-    // Acknowledge every receipt — including duplicates, so a lost final
-    // ack is repaired by the retransmission it provokes.
-    AckReceipt(src, dst, ch);
+    // Every receipt owes an ack — duplicates too, so a lost final ack is
+    // repaired by the retransmission it provokes.
+    OweAck(src, dst, ch);
   }
 
-  void AckReceipt(SiteId src, SiteId dst, RecvState& ch) {
-    if (!batching_.piggyback_acks) {
-      acks_standalone_.fetch_add(1, std::memory_order_acq_rel);
-      net_->Post(dst, src, Message(core::ChannelAck{ch.next_expected - 1}));
-      return;
-    }
+  /// Marks channel (src, dst)'s ack owed and arms its fallback timer.
+  /// Until the head frame arrives there is nothing to acknowledge (a
+  /// cumulative ack of 0 says nothing), so nothing is owed.
+  void OweAck(SiteId src, SiteId dst, RecvState& ch) {
+    if (ch.next_expected == 1) return;
     ch.ack_owed = true;
     if (!ch.ack_timer_running) {
       ch.ack_timer_running = true;
@@ -507,7 +580,7 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     }
   }
 
-  /// Single-shot fallback: if no reverse-direction frame consumed the
+  /// Single-shot fallback: if no reverse-direction frame carried the
   /// owed ack within `kAckDelay`, send it standalone. Runs at the
   /// receiver (`dst`'s machine).
   runtime::Co<void> AckFallback(SiteId src, SiteId dst) {
@@ -521,18 +594,32 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     }
   }
 
+  /// Retires the frames `ack` covers and, unless one of them was
+  /// retransmitted (Karn's rule), samples the round trip of the oldest:
+  /// the head frame's wait is what the retransmitter times.
   void OnAck(SiteId src, SiteId dst, core::ChannelAck ack) {
     SendState& ch = SendFor(src, dst);
+    if (ch.unacked.empty() || ch.unacked.front().seq > ack.cum_ack) return;
+    const SimTime now = rt_->Now();
+    const Duration oldest = now - ch.unacked.front().first_sent;
+    bool ambiguous = false;
     while (!ch.unacked.empty() && ch.unacked.front().seq <= ack.cum_ack) {
       const Outstanding& out = ch.unacked.front();
       if (out.counted > 0) {
         unacked_total_.fetch_sub(static_cast<uint64_t>(out.counted),
                                  std::memory_order_acq_rel);
       }
+      ambiguous = ambiguous || out.retransmitted;
       if (ack_rtt_ms_ != nullptr && !out.retransmitted) {
-        ack_rtt_ms_->Observe(ToMillis(rt_->Now() - out.first_sent));
+        ack_rtt_ms_->Observe(ToMillis(now - out.first_sent));
       }
       ch.unacked.pop_front();
+    }
+    ch.timer_start = now;
+    if (ambiguous) {
+      ch.rtt.Progress();
+    } else {
+      ch.rtt.Sample(oldest);
     }
   }
 
@@ -542,33 +629,32 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     CallHandler(std::move(env));
   }
 
-  /// One live retransmission loop per channel with unacked frames; runs
-  /// on the source machine and exits when the channel drains.
+  /// One live retransmission timer per channel with unacked frames; runs
+  /// on the source machine and exits when the channel drains. It fires
+  /// one RTO after `timer_start`, so a lost frame waits one RTO after the
+  /// last progress, not up to two.
   runtime::Co<void> Retransmitter(SiteId src, SiteId dst) {
     SendState& ch = SendFor(src, dst);
-    Duration rto = kRtoInitial;
     while (!ch.unacked.empty() && !shutdown_.load()) {
-      uint64_t head = ch.unacked.front().seq;
-      co_await rt_->Delay(rto);
-      if (ch.unacked.empty() || shutdown_.load()) break;
-      if (ch.unacked.front().seq == head) {
-        // No progress for a whole RTO: resend the head frame only. Acks
-        // are cumulative, so if the tail of the window made it through,
-        // repairing the head gap acknowledges everything at once;
-        // resending the whole window (classic go-back-N) floods the
-        // receiver's CPU with duplicates and under the paper's per-
-        // message CPU charges that feedback loop can collapse a loaded
-        // machine.
-        retransmissions_.fetch_add(1, std::memory_order_acq_rel);
-        if (retransmissions_counter_ != nullptr) {
-          retransmissions_counter_->Increment();
-        }
-        ch.unacked.front().retransmitted = true;
-        net_->Post(src, dst, Message(ch.unacked.front().frame));
-        rto = std::min(rto * 2, kRtoMax);
-      } else {
-        rto = kRtoInitial;
+      const SimTime deadline = ch.timer_start + ch.rtt.rto();
+      if (rt_->Now() < deadline) {
+        co_await rt_->Delay(deadline - rt_->Now());
+        continue;
       }
+      // No progress for a whole RTO: resend the head frame only. Acks
+      // are cumulative, so if the tail of the window made it through,
+      // repairing the head gap acknowledges everything at once;
+      // resending the whole window (classic go-back-N) floods the
+      // receiver's CPU with duplicates and under the paper's per-message
+      // CPU charges that feedback loop can collapse a loaded machine.
+      retransmissions_.fetch_add(1, std::memory_order_acq_rel);
+      if (retransmissions_counter_ != nullptr) {
+        retransmissions_counter_->Increment();
+      }
+      ch.unacked.front().retransmitted = true;
+      net_->Post(src, dst, Message(ch.unacked.front().frame));
+      ch.rtt.Backoff();
+      ch.timer_start = rt_->Now();
     }
     ch.retransmitter_running = false;
   }
@@ -577,6 +663,14 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   Net* net_;
   FaultInjector* injector_;
   core::BatchingOptions batching_;
+  /// Owed acks ride reverse frames only when frames pay no per-message
+  /// CPU. The cost model charges a frame's CPU before it leaves and
+  /// before its receiver sees it, so an ack riding one would wait in
+  /// both machines' CPU queues, where a standalone ack, control traffic
+  /// like TCP's kernel-level acks, goes out uncharged. Under load that
+  /// wait outlasts the RTO: with riding acks, BackEdge at 1% drop and dup
+  /// resent 11% more frames than with standalone ones (docs/FAULTS.md).
+  bool acks_ride_frames_;
   SiteId num_sites_;
   /// send_[src][dst] and recv_[dst][src]: per-site maps of lazily
   /// created channel cells, each confined to its site's home lane.

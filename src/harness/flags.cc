@@ -276,10 +276,6 @@ std::vector<ConfigFlag> BuildConfigFlags() {
            "coalesce posts per channel for this long and ship them as one "
            "batch frame (0 = off; docs/PERFORMANCE.md §6)",
            LAZYREP_FIELD(batching.window)),
-      Switch("piggyback-acks",
-             "carry cumulative acks on reverse-direction data frames",
-             [](Config& c) { c.batching.piggyback_acks = true; },
-             [](const Config& c) { return c.batching.piggyback_acks; }),
       Switch("group-commit",
              "one WAL sync boundary per delivered batch at the secondaries "
              "(implies --wal)",

@@ -177,7 +177,7 @@ std::vector<Flag<LazychkOptions>> LazychkFlags() {
   std::vector<Flag<LazychkOptions>> flags = OnMember(
       ConfigFlags({"protocol", "txns", "workload", "zipf", "consistency",
                    "faults", "topology", "replication-factor", "deadlock",
-                   "batch-window", "piggyback-acks", "group-commit"}),
+                   "batch-window", "group-commit"}),
       &LazychkOptions::run);
   // The sweep's shape goes right after the protocol, as in a replay line.
   flags.insert(

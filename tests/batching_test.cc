@@ -1,13 +1,13 @@
 // System-level tests for the batching layer (docs/PERFORMANCE.md §6):
-// transport frame coalescing, ack piggybacking and WAL group commit
-// running under the real protocols, on both runtimes.
+// transport frame coalescing and WAL group commit running under the real
+// protocols, on both runtimes.
 //
 //  - Full-stack sweep: the three lazy tree protocols with every batching
 //    knob on stay serializable, read-consistent and convergent — on the
 //    sim and on the threads runtime with four worker lanes per machine
 //    (the tier CI runs under TSan). DAG(T)'s in-engine timestamp-order
 //    CHECK makes any cross-batch reordering fatal, not just wrong.
-//  - Exactly-once under drop/dup with coalescing + piggybacked acks.
+//  - Exactly-once under drop/dup with coalescing and delayed acks.
 //  - WAL replay == final store at every site with group commit on.
 //  - Sim determinism: same seed, same schedule, batching on.
 
@@ -67,14 +67,13 @@ core::SystemConfig BatchedConfig(Protocol protocol, RuntimeKind kind,
     // The transport's ack fallback and RTO are constants: undilated.
     config.batching.window *= d;
   }
-  config.batching.piggyback_acks = true;
   config.batching.wal_group_commit = true;
   return config;
 }
 
 // Runs one batched configuration and asserts the paper's correctness
 // properties plus the batching-specific ones: the transport actually
-// coalesced and piggybacked, and every site's WAL replays to exactly its
+// coalesced, and every site's WAL replays to exactly its
 // final store (group commit defers sync boundaries, never redo records).
 void RunBatched(core::SystemConfig config, bool expect_batches = true) {
   auto system = core::System::Create(std::move(config));
@@ -163,7 +162,7 @@ INSTANTIATE_TEST_SUITE_P(
                                          RuntimeKind::kThreads)),
     SweepParamName);
 
-// Coalesced frames + piggybacked acks over a lossy wire: the ARQ layer
+// Coalesced frames + delayed acks over a lossy wire: the ARQ layer
 // must still deliver exactly once in order (DAG(T)'s timestamp CHECK and
 // the serializability verdict would both trip on any slip).
 TEST(BatchingFaultsTest, ExactlyOnceUnderDropDupWithPiggybackedAcks) {
@@ -200,8 +199,9 @@ TEST(BatchingDeterminismTest, SameSeedSameSchedule) {
 }
 
 // The bench baseline arm: force_transport routes traffic through the ARQ
-// layer with every batching knob off — one frame and one standalone ack
-// per message, no batch frames, no deferred syncs.
+// layer with every batching knob off — one frame per message, no batch
+// frames, no deferred syncs. Tree propagation is one-directional per
+// edge, so no reverse frame carries the delayed acks: all go standalone.
 TEST(BatchingBaselineTest, ForceTransportAloneChangesNothing) {
   core::SystemConfig config =
       BatchedConfig(Protocol::kDagWt, RuntimeKind::kSim, /*seed=*/2);

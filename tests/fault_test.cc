@@ -3,7 +3,8 @@
 //  - FaultPlan::Parse grammar and error cases.
 //  - System::Create validation of crash-fault configurations.
 //  - ReliableTransport unit tests over a lossy Network: exactly-once FIFO
-//    restored under drop/dup/delay, and down-site parking + FlushPending.
+//    restored under drop/dup/delay, down-site parking + FlushPending,
+//    delayed acks, and the per-channel adaptive RTO with Karn's rule.
 //  - The chaos tier: all three lazy tree protocols × 5 seeds ×
 //    {drop 1%, dup 1%, one mid-run crash+restart}, on both the sim and
 //    the threads runtime, asserting global serializability, convergence,
@@ -32,6 +33,7 @@
 #include "fault/reliable_transport.h"
 #include "harness/experiment.h"
 #include "net/network.h"
+#include "runtime/primitives.h"
 #include "runtime/sim_runtime.h"
 #include "storage/item_store.h"
 #include "storage/wal.h"
@@ -254,6 +256,206 @@ TEST(ReliableTransportTest, PostAfterShutdownIsRefusedNotStalled) {
 }
 
 // ---------------------------------------------------------------------
+// Delayed acks and the per-channel adaptive RTO.
+
+using RttEstimator = ReliableTransport::RttEstimator;
+
+TEST(RttEstimatorTest, FollowsRfc6298AndClampsTheTimeout) {
+  RttEstimator rtt;
+  EXPECT_FALSE(rtt.sampled());
+  EXPECT_EQ(rtt.rto(), ReliableTransport::kRtoMin);
+
+  // First sample R: SRTT = R, RTTVAR = R/2, RTO = SRTT + 4·RTTVAR.
+  rtt.Sample(Millis(8));
+  EXPECT_TRUE(rtt.sampled());
+  EXPECT_EQ(rtt.srtt(), Millis(8));
+  EXPECT_EQ(rtt.rttvar(), Millis(4));
+  EXPECT_EQ(rtt.rto(), Millis(24));
+  // Then RTTVAR moves by β = 1/4 of |SRTT - R| - RTTVAR, against the old
+  // SRTT, and SRTT by α = 1/8 of R - SRTT.
+  rtt.Sample(Millis(16));
+  EXPECT_EQ(rtt.rttvar(), Millis(5));
+  EXPECT_EQ(rtt.srtt(), Millis(9));
+  EXPECT_EQ(rtt.rto(), Millis(29));
+
+  // Backoff doubles the current RTO up to kRtoMax; progress resets it
+  // without moving SRTT or RTTVAR.
+  rtt.Backoff();
+  EXPECT_EQ(rtt.rto(), Millis(58));
+  rtt.Backoff();
+  EXPECT_EQ(rtt.rto(), ReliableTransport::kRtoMax);
+  rtt.Progress();
+  EXPECT_EQ(rtt.rto(), Millis(29));
+  EXPECT_EQ(rtt.srtt(), Millis(9));
+  EXPECT_EQ(rtt.rttvar(), Millis(5));
+
+  // Before the first sample the backoff survives progress: a path slower
+  // than kRtoMin needs the longer wait to ever yield a sample.
+  RttEstimator fresh;
+  fresh.Backoff();
+  fresh.Progress();
+  EXPECT_EQ(fresh.rto(), 2 * ReliableTransport::kRtoMin);
+
+  // A fast path still waits kRtoMin: no timeout may fire before a
+  // delayed ack could return.
+  RttEstimator fast;
+  for (int i = 0; i < 50; ++i) fast.Sample(Millis(1));
+  EXPECT_EQ(fast.rto(), ReliableTransport::kRtoMin);
+}
+
+runtime::Co<void> PostEvery(runtime::Runtime* rt,
+                            ReliableTransport* transport, int64_t first,
+                            int64_t count, Duration gap) {
+  for (int64_t i = first; i < first + count; ++i) {
+    transport->Post(0, 1, ProtocolMessage(MakeUpdate(i)));
+    co_await rt->Delay(gap);
+  }
+}
+
+// A loss-free channel whose round trip — 6 ms of wire latency each way
+// plus the delayed ack — is longer than a fixed 10 ms RTO. Every
+// retransmission here is spurious; once the estimator has a sample, a
+// steady stream draws at most one.
+TEST(ReliableTransportRtoTest, LongRoundTripDrawsAtMostOneSpuriousResend) {
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  ProtocolNetwork::Config cfg;
+  cfg.latency = Millis(6);
+  ProtocolNetwork net(&rt, 2, cfg, {nullptr, nullptr}, Rng(41));
+  ReliableTransport transport(&rt, &net, /*injector=*/nullptr,
+                              /*num_sites=*/2);
+  std::vector<int64_t> got;
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.push_back(UpdateSeq(env.payload));
+  });
+
+  // One frame at a time until the channel has a sample: an ack that
+  // covers a spurious resend gives none (Karn's rule), but the backed-off
+  // RTO, which holds until the first sample, lets the next frame's ack
+  // through.
+  int64_t next = 0;
+  while (transport.rtt(0, 1) == nullptr || !transport.rtt(0, 1)->sampled()) {
+    ASSERT_LT(next, 3) << "no round-trip sample";
+    transport.Post(0, 1, ProtocolMessage(MakeUpdate(next++)));
+    sim.Run();
+  }
+  EXPECT_GT(transport.rtt(0, 1)->srtt(), Millis(12));
+  const uint64_t warmup_resends = transport.retransmissions();
+
+  constexpr int64_t kStream = 100;
+  rt.Spawn(PostEvery(&rt, &transport, next, kStream, Millis(2)));
+  sim.Run();
+
+  ASSERT_EQ(got.size(), static_cast<size_t>(next + kStream));
+  for (size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i], static_cast<int64_t>(i));
+  }
+  EXPECT_LE(transport.retransmissions() - warmup_resends, 1u);
+  EXPECT_TRUE(transport.Quiescent());
+}
+
+// Karn's rule: the ack that covers a retransmitted frame leaves SRTT and
+// RTTVAR alone (it may answer either transmission). The resend doubled
+// the RTO; the ack's progress resets it to the fitted value.
+TEST(ReliableTransportRtoTest, AckCoveringAResendGivesNoSample) {
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  ProtocolNetwork::Config cfg;
+  cfg.latency = Millis(1);
+  ProtocolNetwork net(&rt, 2, cfg, {nullptr, nullptr}, Rng(43));
+  int data_posts = 0;
+  net.SetFaultHook([&](SiteId src, SiteId /*dst*/) {
+    net::FaultDecision d;
+    d.drop = src == 0 && ++data_posts == 2;  // The second frame, once.
+    return d;
+  });
+  ReliableTransport transport(&rt, &net, /*injector=*/nullptr,
+                              /*num_sites=*/2);
+  int delivered = 0;
+  transport.SetHandler(1, [&](ReliableTransport::Envelope) { ++delivered; });
+
+  transport.Post(0, 1, ProtocolMessage(MakeUpdate(0)));
+  sim.Run();
+  const RttEstimator* rtt = transport.rtt(0, 1);
+  ASSERT_NE(rtt, nullptr);
+  ASSERT_TRUE(rtt->sampled());
+  const Duration srtt = rtt->srtt();
+  const Duration rttvar = rtt->rttvar();
+  const Duration rto = rtt->rto();
+
+  transport.Post(0, 1, ProtocolMessage(MakeUpdate(1)));
+  // Just past the resend, before its ack is back.
+  sim.RunUntil(rt.Now() + rto + Millis(0.5));
+  EXPECT_EQ(transport.retransmissions(), 1u);
+  EXPECT_EQ(rtt->rto(), 2 * rto);
+  sim.Run();
+  EXPECT_EQ(transport.retransmissions(), 1u);
+  EXPECT_EQ(rtt->srtt(), srtt);
+  EXPECT_EQ(rtt->rttvar(), rttvar);
+  EXPECT_EQ(rtt->rto(), rto);
+  EXPECT_EQ(delivered, 2);
+  EXPECT_TRUE(transport.Quiescent());
+}
+
+// A burst inside one ack delay on a one-way channel owes one cumulative
+// ack, not one per frame.
+TEST(ReliableTransportAckTest, PostsWithinTheAckDelayDrawOneStandaloneAck) {
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  ProtocolNetwork::Config cfg;
+  cfg.latency = Millis(0.15);
+  ProtocolNetwork net(&rt, 2, cfg, {nullptr, nullptr}, Rng(45));
+  ReliableTransport transport(&rt, &net, /*injector=*/nullptr,
+                              /*num_sites=*/2);
+  int delivered = 0;
+  transport.SetHandler(1, [&](ReliableTransport::Envelope) { ++delivered; });
+
+  constexpr int kPosts = 10;
+  for (int64_t i = 0; i < kPosts; ++i) {
+    transport.Post(0, 1, ProtocolMessage(MakeUpdate(i)));
+  }
+  sim.Run();
+
+  EXPECT_EQ(delivered, kPosts);
+  EXPECT_EQ(transport.frames_sent(), static_cast<uint64_t>(kPosts));
+  EXPECT_EQ(transport.acks_standalone(), 1u);
+  EXPECT_EQ(transport.acks_piggybacked(), 0u);
+  EXPECT_EQ(transport.retransmissions(), 0u);
+  EXPECT_TRUE(transport.Quiescent());
+}
+
+// A lost ack is repaired: the sender's resend arrives as a duplicate,
+// which owes a fresh ack, and the channel drains.
+TEST(ReliableTransportAckTest, DroppedAckIsRepairedByTheResendItProvokes) {
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  ProtocolNetwork::Config cfg;
+  cfg.latency = Millis(0.15);
+  ProtocolNetwork net(&rt, 2, cfg, {nullptr, nullptr}, Rng(47));
+  int acks = 0;
+  net.SetFaultHook([&](SiteId src, SiteId /*dst*/) {
+    net::FaultDecision d;
+    d.drop = src == 1 && ++acks == 1;  // The first ack.
+    return d;
+  });
+  ReliableTransport transport(&rt, &net, /*injector=*/nullptr,
+                              /*num_sites=*/2);
+  std::vector<int64_t> got;
+  transport.SetHandler(1, [&](ReliableTransport::Envelope env) {
+    got.push_back(UpdateSeq(env.payload));
+  });
+
+  transport.Post(0, 1, ProtocolMessage(MakeUpdate(7)));
+  sim.Run();
+
+  EXPECT_EQ(got, std::vector<int64_t>{7});
+  EXPECT_EQ(transport.retransmissions(), 1u);
+  EXPECT_EQ(transport.duplicates_discarded(), 1u);
+  EXPECT_EQ(transport.acks_standalone(), 2u);
+  EXPECT_TRUE(transport.Quiescent());
+}
+
+// ---------------------------------------------------------------------
 // Batching-layer unit tests (docs/PERFORMANCE.md §6).
 
 TEST(ReliableTransportBatchingTest, CoalescesPostsPreservingFifoAndBatchEnd) {
@@ -370,9 +572,9 @@ TEST(ReliableTransportBatchingTest, FullBufferFlushesBeforeTheWindow) {
 
 // Channel cells are materialized on first touch: traffic on one channel
 // of a 256-site transport holds one send cell (at the sender) and one
-// receive cell (at the receiver), not 256² of each. Piggybacking is on,
-// so the sender also looks up the reverse channel's owed ack — a lookup
-// that must not materialize a cell either.
+// receive cell (at the receiver), not 256² of each. Every flush looks up
+// the reverse channel's owed ack — a lookup that must not materialize a
+// cell either.
 TEST(ReliableTransportTest, OneChannelOfManySitesMaterializesOneCellEach) {
   constexpr int kSites = 256;
   SimRuntime rt;
@@ -381,9 +583,7 @@ TEST(ReliableTransportTest, OneChannelOfManySitesMaterializesOneCellEach) {
                       std::vector<runtime::Resource*>(kSites, nullptr),
                       Rng(27));
   FaultInjector injector(&rt, FaultPlan{}, kSites, Rng(28));
-  core::BatchingOptions batching;
-  batching.piggyback_acks = true;
-  ReliableTransport transport(&rt, &net, &injector, kSites, batching);
+  ReliableTransport transport(&rt, &net, &injector, kSites);
   std::vector<int64_t> got;
   transport.SetHandler(200, [&](ReliableTransport::Envelope env) {
     EXPECT_EQ(env.src, 3);
@@ -402,9 +602,9 @@ TEST(ReliableTransportTest, OneChannelOfManySitesMaterializesOneCellEach) {
   EXPECT_EQ(net.allocated_channels(), 2u);
 }
 
-// Two-way bursty traffic with coalescing + piggybacking over a lossy
-// wire: both directions must stay exactly-once FIFO, and the reverse
-// data frames must have absorbed most of the ack traffic.
+// Two-way bursty traffic with coalescing over a lossy wire: both
+// directions must stay exactly-once FIFO, and the reverse data frames
+// must have carried most of the delayed acks.
 runtime::Co<void> PostBursts(runtime::Runtime* rt,
                              ReliableTransport* transport) {
   for (int64_t round = 0; round < 10; ++round) {
@@ -430,7 +630,6 @@ TEST(ReliableTransportBatchingTest, PiggybackedExactlyOnceUnderDropDup) {
       [&](SiteId src, SiteId dst) { return injector.Roll(src, dst); });
   core::BatchingOptions batching;
   batching.window = Millis(0.5);
-  batching.piggyback_acks = true;
   ReliableTransport transport(&rt, &net, &injector, /*num_sites=*/2,
                               batching);
   std::vector<int64_t> got_at_1;
@@ -455,9 +654,38 @@ TEST(ReliableTransportBatchingTest, PiggybackedExactlyOnceUnderDropDup) {
   EXPECT_GT(transport.batch_frames_sent(), 0u);
   EXPECT_GT(transport.retransmissions(), 0u);
   EXPECT_GT(transport.acks_piggybacked(), 0u);
-  // The point of piggybacking: reverse data carries the acks, so the
+  // The point of delayed acks: reverse data carries them, so the
   // standalone-ack fallback fires only on genuinely quiet channels.
   EXPECT_LT(transport.acks_standalone(), transport.acks_piggybacked());
+}
+
+// Under the cost model every frame pays CPU at both ends, which the
+// uncharged standalone ack does not: an ack riding a frame would wait in
+// both CPU queues. So no ack rides; each goes standalone after the delay.
+TEST(ReliableTransportAckTest, AcksDoNotRideCpuChargedFrames) {
+  SimRuntime rt;
+  Simulator& sim = *rt.simulator();
+  runtime::Resource cpu0(&rt, 1);
+  runtime::Resource cpu1(&rt, 1);
+  ProtocolNetwork::Config cfg;
+  cfg.latency = Millis(0.15);
+  cfg.send_cpu = Millis(0.5);
+  cfg.recv_cpu = Millis(0.5);
+  ProtocolNetwork net(&rt, 2, cfg, {&cpu0, &cpu1}, Rng(49));
+  ReliableTransport transport(&rt, &net, /*injector=*/nullptr,
+                              /*num_sites=*/2);
+  int delivered = 0;
+  for (SiteId s : {0, 1}) {
+    transport.SetHandler(s, [&](ReliableTransport::Envelope) { ++delivered; });
+  }
+
+  rt.Spawn(PostBursts(&rt, &transport));
+  sim.Run();
+
+  EXPECT_EQ(delivered, 100);
+  EXPECT_EQ(transport.acks_piggybacked(), 0u);
+  EXPECT_GT(transport.acks_standalone(), 0u);
+  EXPECT_TRUE(transport.Quiescent());
 }
 
 // ---------------------------------------------------------------------

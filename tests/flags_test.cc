@@ -49,8 +49,7 @@ TEST(FlagsTest, CliRoundTripsEveryFlag) {
       "--deadlock=wait_die", "--retry", "--tree=greedy",
       "--backedges=weighted", "--lww", "--wal",
       "--faults=drop:0.01,dup:0.02,delay:2ms,crash:1@500ms+50ms",
-      "--batch-window=2", "--piggyback-acks",
-      "--group-commit", "--no-check", "--warmup-ms=5", "--seeds=2",
+      "--batch-window=2", "--group-commit", "--no-check", "--warmup-ms=5", "--seeds=2",
       "--trace=t.jsonl", "--metrics-out=m.prom", "--trace-out=t.json",
       "--per-site", "--hist"};
   CliOptions parsed;
@@ -98,7 +97,7 @@ TEST(FlagsTest, LazychkRoundTripsEveryFlag) {
       "--workload=smallbank", "--zipf=0.1234567", "--consistency=ryw",
       "--faults=drop:0.01,crash:2@40ms+10ms", "--topology=chain:12",
       "--replication-factor=3", "--grant=wait_die", "--batch-window=2",
-      "--piggyback-acks", "--group-commit", "--ties=0", "--grants=0",
+      "--group-commit", "--ties=0", "--grants=0",
       "--jitter=500us", "--no-shrink", "--shrink", "--no-shrink", "--quiet"};
   LazychkOptions parsed;
   parsed.verbose = true;  // As the tool starts; --quiet clears it.

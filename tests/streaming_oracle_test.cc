@@ -532,8 +532,7 @@ TEST(StreamingOracleTest, NaiveLazyViolationIsCaughtBeforeQuiescence) {
 std::vector<std::string> CiLazychkArgs() {
   const std::string faults =
       " --faults=drop:0.01,dup:0.01,crash:2@500ms+100ms";
-  const std::string batching =
-      " --batch-window=2ms --piggyback-acks --group-commit";
+  const std::string batching = " --batch-window=2ms --group-commit";
   std::vector<std::string> out;
   for (const char* p : {"dagwt", "dagt", "backedge"}) {
     const std::string run = std::string("--protocol=") + p;
@@ -545,6 +544,7 @@ std::vector<std::string> CiLazychkArgs() {
     }
     out.push_back(run + " --topology=chain:64 --txns=5 --seeds=10 --shrink");
     out.push_back(run + " --topology=tree:64,4 --txns=5 --seeds=10 --shrink");
+    out.push_back(run + " --faults=drop:0.1,dup:0.1 --seeds=10");
   }
   for (const char* p : {"psl", "eager"}) {
     const std::string run = std::string("--protocol=") + p;

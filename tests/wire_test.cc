@@ -2,6 +2,9 @@
 // exact size accounting, round trips for every message kind, and decode
 // robustness against corrupt input.
 
+#include <cstdint>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
@@ -209,6 +212,64 @@ TEST(WireTest, ReliableBatchFieldsSurviveExactly) {
   EXPECT_EQ(d.inner, batch.inner);
 }
 
+// A transport frame's header is `seq << 1 | has_ack` and then the
+// piggybacked ack only when one rides; the inner bytes run to the end.
+TEST(WireTest, ReliableFrameHeaderRoundTripsAtTheExtremes) {
+  const std::vector<uint8_t> inner =
+      Wire::Encode(ProtocolMessage(TpcAck{{0, 1}}));
+  for (uint64_t seq : {uint64_t{1}, (uint64_t{1} << 63) - 1}) {
+    for (uint64_t ack : {uint64_t{0}, uint64_t{1}, UINT64_MAX}) {
+      SCOPED_TRACE("seq " + std::to_string(seq) + " ack " +
+                   std::to_string(ack));
+      ReliableData data;
+      data.seq = seq;
+      data.piggyback_ack = ack;
+      data.inner = inner;
+      ExpectRoundTrip(ProtocolMessage(data));
+      Result<ProtocolMessage> back = Wire::Decode(Wire::Encode(data));
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(std::get<ReliableData>(*back).seq, seq);
+      EXPECT_EQ(std::get<ReliableData>(*back).piggyback_ack, ack);
+      EXPECT_EQ(std::get<ReliableData>(*back).inner, inner);
+
+      ReliableBatch batch;
+      batch.seq = seq;
+      batch.piggyback_ack = ack;
+      batch.count = 1;
+      Wire::PutVarint(&batch.inner, inner.size());
+      batch.inner.insert(batch.inner.end(), inner.begin(), inner.end());
+      ExpectRoundTrip(ProtocolMessage(batch));
+      back = Wire::Decode(Wire::Encode(batch));
+      ASSERT_TRUE(back.ok()) << back.status().ToString();
+      EXPECT_EQ(std::get<ReliableBatch>(*back).seq, seq);
+      EXPECT_EQ(std::get<ReliableBatch>(*back).piggyback_ack, ack);
+      EXPECT_EQ(std::get<ReliableBatch>(*back).inner, batch.inner);
+    }
+  }
+}
+
+TEST(WireTest, AcklessOneMessageFrameCostsItsTagSeqAndInner) {
+  // Tag, then seq 1 with the flag bit clear in one byte, then the inner
+  // encoding: 2 bytes less than a layout that spends a byte on a zero
+  // ack and another on the inner length.
+  ReliableData data;
+  data.seq = 1;
+  data.inner = Wire::Encode(ProtocolMessage(SampleUpdate()));
+  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(data)), 2 + data.inner.size());
+  const size_t layout_before = 1 + 1 + 1 + 1 + data.inner.size();
+  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(data)) + 2, layout_before);
+  // A carried ack costs its own varint and nothing else.
+  data.piggyback_ack = 5;
+  EXPECT_EQ(Wire::EncodedSize(ProtocolMessage(data)), 3 + data.inner.size());
+}
+
+TEST(WireDeathTest, FrameSeqMustLeaveRoomForTheAckFlag) {
+  ReliableData data;
+  data.seq = uint64_t{1} << 63;
+  data.inner = {0x06};
+  EXPECT_DEATH(Wire::Encode(ProtocolMessage(data)), "ack flag");
+}
+
 TEST(WireTest, BatchOfMinimalUpdatesRoundTrips) {
   // A default-constructed update is the smallest on the wire: the txn
   // id's two one-byte varints, the flag byte and the write count. Its
@@ -393,6 +454,27 @@ TEST(WireDecodeTest, RejectsTrailingBytes) {
   EXPECT_FALSE(Wire::Decode(bytes).ok());
 }
 
+TEST(WireDecodeTest, RejectsMalformedFrameHeaders) {
+  for (uint8_t tag : {uint8_t{0x0B}, uint8_t{0x0D}}) {
+    SCOPED_TRACE("tag " + std::to_string(tag));
+    // A truncated seq varint.
+    EXPECT_FALSE(Wire::Decode({tag, 0x80}).ok());
+    // The ack flag set, then a truncated ack varint.
+    EXPECT_FALSE(Wire::Decode({tag, 0x03, 0x80}).ok());
+    // The ack flag set and no ack at all.
+    EXPECT_FALSE(Wire::Decode({tag, 0x03}).ok());
+    // A flagged ack of 0: the encoder never sets the flag for it.
+    EXPECT_FALSE(Wire::Decode({tag, 0x03, 0x00, 0x01, 0x06}).ok());
+  }
+  // A ReliableData frame whose inner run is empty, with and without an
+  // ack ahead of it.
+  EXPECT_FALSE(Wire::Decode({0x0B, 0x02}).ok());
+  EXPECT_FALSE(Wire::Decode({0x0B, 0x03, 0x07}).ok());
+  // The same frames with one inner byte decode.
+  EXPECT_TRUE(Wire::Decode({0x0B, 0x02, 0x06}).ok());
+  EXPECT_TRUE(Wire::Decode({0x0B, 0x03, 0x07, 0x06}).ok());
+}
+
 TEST(WireDecodeTest, TruncationFuzz) {
   // Every strict prefix of a valid encoding must fail to decode (never
   // crash, never succeed).
@@ -441,47 +523,11 @@ TEST(WireDecodeTest, RejectsOversizedCounts) {
     EXPECT_FALSE(Wire::Decode(bytes).ok());
   }
   {
-    // ReliableData (tag 11) whose inner length exceeds the remaining
-    // bytes by one — the bulk copy must not read past the buffer.
-    std::vector<uint8_t> bytes = {0x0B};
-    Wire::PutVarint(&bytes, 42);       // seq
-    Wire::PutVarint(&bytes, 7);        // piggyback_ack
-    Wire::PutVarint(&bytes, 5);        // inner length...
-    bytes.insert(bytes.end(), {1, 2, 3, 4});  // ...but only 4 bytes.
-    EXPECT_FALSE(Wire::Decode(bytes).ok());
-    bytes.push_back(5);  // Now exactly 5: must decode.
-    Result<ProtocolMessage> ok = Wire::Decode(bytes);
-    ASSERT_TRUE(ok.ok());
-    const auto& rd = std::get<ReliableData>(*ok);
-    EXPECT_EQ(rd.seq, 42u);
-    EXPECT_EQ(rd.piggyback_ack, 7u);
-    EXPECT_EQ(rd.inner, (std::vector<uint8_t>{1, 2, 3, 4, 5}));
-  }
-  {
-    // ReliableData with a 2^50 length prefix: rejected before any
-    // allocation.
-    std::vector<uint8_t> bytes = {0x0B};
-    Wire::PutVarint(&bytes, 0);        // seq
-    Wire::PutVarint(&bytes, 0);        // piggyback_ack
-    Wire::PutVarint(&bytes, 1ull << 50);
-    EXPECT_FALSE(Wire::Decode(bytes).ok());
-  }
-  {
     // ReliableBatch (tag 13) claiming 2^40 inner messages.
     std::vector<uint8_t> bytes = {0x0D};
-    Wire::PutVarint(&bytes, 1);        // seq
-    Wire::PutVarint(&bytes, 0);        // piggyback_ack
+    Wire::PutVarint(&bytes, 1 << 1);   // seq 1, no ack
     Wire::PutVarint(&bytes, 1ull << 40);  // count: absurd
-    Wire::PutVarint(&bytes, 0);        // inner length
-    EXPECT_FALSE(Wire::Decode(bytes).ok());
-  }
-  {
-    // ReliableBatch whose inner length runs past the buffer.
-    std::vector<uint8_t> bytes = {0x0D};
-    Wire::PutVarint(&bytes, 1);        // seq
-    Wire::PutVarint(&bytes, 0);        // piggyback_ack
-    Wire::PutVarint(&bytes, 2);        // count
-    Wire::PutVarint(&bytes, 1ull << 50);  // inner length: absurd
+    bytes.insert(bytes.end(), {1, 2, 3, 4});
     EXPECT_FALSE(Wire::Decode(bytes).ok());
   }
 }
