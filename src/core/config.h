@@ -131,8 +131,7 @@ struct EngineOptions {
 /// default — fault-free sim schedules stay byte-identical to a build
 /// without this struct. Enabling any knob routes traffic through
 /// `fault::ReliableTransport` even when no faults are injected. Acks are
-/// not a knob: the transport always delays them and lets them ride
-/// reverse-direction frames (docs/FAULTS.md).
+/// not a knob: the transport always delays them (docs/FAULTS.md).
 struct BatchingOptions {
   /// Flush lull for a channel's send buffer (`--batch-window`): messages
   /// posted within the window coalesce into one `ReliableBatch` frame.
@@ -203,8 +202,9 @@ struct SystemConfig {
   /// additionally require `enable_wal` and one of the lazy tree
   /// protocols (DAG(WT)/DAG(T)/BackEdge) with batching off.
   std::optional<fault::FaultPlan> faults;
-  /// Transport batching (frame coalescing / WAL group commit). Independent of `faults`: enabling it constructs the
-  /// reliable transport even without an injector.
+  /// Transport batching (frame coalescing / WAL group commit).
+  /// Independent of `faults`: enabling it constructs the reliable
+  /// transport even without an injector.
   BatchingOptions batching;
   /// Schedule-exploration perturbations (lazychk, docs/CHECKING.md):
   /// seeded random tie-breaks, delivery jitter and lock-grant order.

@@ -144,8 +144,8 @@ struct ReliableData {
   /// Below 2^63: the top bit makes room for the has-ack flag.
   uint64_t seq = 0;
   /// Piggybacked cumulative ack for the reverse channel (dst -> src data):
-  /// 0 means "none carried" (real cumulative acks start at 1). The
-  /// transport sets it only when the reverse channel owes an ack.
+  /// 0 means "none carried" (real cumulative acks start at 1).
+  /// `fault::ReliableTransport` sends its acks standalone and leaves it 0.
   uint64_t piggyback_ack = 0;
   std::vector<uint8_t> inner;
 };

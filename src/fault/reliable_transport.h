@@ -32,14 +32,16 @@ namespace lazyrep::fault {
 /// repairing the head gap sufficient) and backs off.
 ///
 ///  - Delayed acks (RFC 1122 §4.2.3.2): a receipt, duplicates included,
-///    marks its channel "ack owed". The owed ack rides the next
-///    reverse-direction data or batch frame as its `piggyback_ack`; if
-///    none goes out within `kAckDelay`, the ack goes out standalone as a
-///    `ChannelAck`. A frame carries an ack only when one is owed. Acks
-///    are cumulative, so any later ack supersedes a lost one, and a lost
-///    final ack is repaired by the retransmission it provokes. When the
-///    network charges per-message CPU (the paper's cost model), acks do
-///    not ride frames: see `acks_ride_frames_`.
+///    marks its channel "ack owed", and the owed ack goes out standalone
+///    as a `ChannelAck` `kAckDelay` later, covering every receipt in
+///    between. Acks never ride data frames (their `piggyback_ack` stays
+///    0): tree propagation sends data one way per edge, so reverse
+///    frames are rare, and under the paper's cost model a frame pays
+///    per-message CPU at both ends, so an ack riding one would wait in
+///    both machines' CPU queues, where a standalone ack is uncharged
+///    control traffic. Acks are cumulative, so any later ack supersedes
+///    a lost one, and a lost final ack is repaired by the retransmission
+///    it provokes.
 ///  - Adaptive RTO (RFC 6298, `RttEstimator`): each channel keeps its own
 ///    smoothed round trip, sampled from the acked frames' first-send
 ///    stamps. Karn's rule: an ack that covers a retransmitted frame gives
@@ -63,12 +65,10 @@ namespace lazyrep::fault {
 /// by construction, acks are delivered to the original sender there, and
 /// the retransmitter and window flusher are spawned there). Receive
 /// state lives in per-destination maps `recv_[dst][src]`, touched only
-/// on dst's lane. A piggybacked ack for channel (dst, src) rides a
-/// (src, dst) data frame: it is read at `src` from its own receive map.
-/// Cells are never erased: the retransmitter, window flusher and ack
-/// fallback hold references to them across suspensions. The aggregate
-/// counters backing `Quiescent()` are atomics because the driver thread
-/// polls them.
+/// on dst's lane. Cells are never erased: the retransmitter, window
+/// flusher and delayed ack hold references to them across suspensions.
+/// The aggregate counters backing `Quiescent()` are atomics because the
+/// driver thread polls them.
 ///
 /// Crash semantics: the transport itself is declared durable (sequence
 /// numbers and queued frames survive a crash — the stand-in for a real
@@ -81,8 +81,8 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   using Message = core::ProtocolMessage;
   using Net = net::Network<Message>;
 
-  /// How long an owed ack waits for a reverse-direction frame to ride
-  /// before it goes out standalone.
+  /// How long an owed ack waits, gathering later receipts, before it
+  /// goes out.
   static constexpr Duration kAckDelay = Millis(5);
   /// Room for an idle data + ack round trip with the ack sent at once.
   /// It is not just two 0.15 ms wire hops: under the paper's cost model
@@ -165,8 +165,6 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
         net_(net),
         injector_(injector),
         batching_(batching),
-        acks_ride_frames_(net->config().send_cpu == 0 &&
-                          net->config().recv_cpu == 0),
         num_sites_(num_sites),
         send_(static_cast<size_t>(num_sites)),
         recv_(static_cast<size_t>(num_sites)),
@@ -294,15 +292,10 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   uint64_t batch_frames_sent() const {
     return batch_frames_sent_.load(std::memory_order_acquire);
   }
-  /// Standalone `ChannelAck` frames posted (owed acks that found no
-  /// reverse frame to ride within `kAckDelay`).
+  /// `ChannelAck` frames posted (one per channel per `kAckDelay` with
+  /// receipts in it).
   uint64_t acks_standalone() const {
     return acks_standalone_.load(std::memory_order_acquire);
-  }
-  /// Owed cumulative acks that rode a reverse-direction data/batch frame
-  /// (each one a standalone ack not sent).
-  uint64_t acks_piggybacked() const {
-    return acks_piggybacked_.load(std::memory_order_acquire);
   }
   /// Posts refused because they arrived after `BeginShutdown`.
   uint64_t posts_refused() const {
@@ -361,9 +354,8 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   struct RecvState {
     uint64_t next_expected = 1;
     std::map<uint64_t, Stashed> stash;
-    /// A receipt happened and no ack has gone out since.
+    /// A receipt happened and its delayed ack has not gone out yet.
     bool ack_owed = false;
-    bool ack_timer_running = false;
   };
   struct PendingDelivery {
     Envelope env;
@@ -396,21 +388,6 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     return s;
   }
 
-  /// Consumes the owed ack of the reverse channel (data flowing
-  /// dst -> src) and returns the cumulative ack to carry on a (src, dst)
-  /// frame; 0 (none carried) when no ack is owed. Runs at `src`, whose
-  /// own receive map holds the (dst, src) state; a channel that never
-  /// carried data stays unmaterialized.
-  uint64_t TakeOwedAck(SiteId src, SiteId dst) {
-    if (!acks_ride_frames_) return 0;
-    auto& received = recv_[static_cast<size_t>(src)];
-    auto it = received.find(dst);
-    if (it == received.end() || !it->second.ack_owed) return 0;
-    it->second.ack_owed = false;
-    acks_piggybacked_.fetch_add(1, std::memory_order_acq_rel);
-    return it->second.next_expected - 1;
-  }
-
   /// Ships the channel's send buffer as one sequenced frame: a plain
   /// `ReliableData` when a single message is pending (no batch framing
   /// overhead), a `ReliableBatch` otherwise. The frame joins the
@@ -419,13 +396,11 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   void FlushChannel(SiteId src, SiteId dst) {
     SendState& ch = SendFor(src, dst);
     if (ch.buffer_count == 0) return;
-    const uint64_t piggyback = TakeOwedAck(src, dst);
     Message frame;
     const uint64_t seq = ch.next_seq++;
     if (ch.buffer_count == 1) {
       core::ReliableData data;
       data.seq = seq;
-      data.piggyback_ack = piggyback;
       size_t pos = 0;
       Result<uint64_t> len = core::Wire::GetVarint(ch.buffer, &pos);
       LAZYREP_CHECK(len.ok() && pos + *len == ch.buffer.size());
@@ -435,7 +410,6 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     } else {
       core::ReliableBatch batch;
       batch.seq = seq;
-      batch.piggyback_ack = piggyback;
       batch.count = ch.buffer_count;
       batch.inner = ch.buffer;
       frame = std::move(batch);
@@ -471,24 +445,15 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   }
 
   /// Raw network delivery at `env.dst`'s machine: data/batch frames feed
-  /// the receive state (their piggybacked ack feeds the reverse send
-  /// state first), acks feed the send state, anything else is a bug.
+  /// the receive state, acks feed the send state, anything else is a bug.
   void OnNetworkDeliver(Net::Envelope env) {
     if (auto* data = std::get_if<core::ReliableData>(&env.payload)) {
-      if (data->piggyback_ack > 0) {
-        OnAck(/*src=*/env.dst, /*dst=*/env.src,
-              core::ChannelAck{data->piggyback_ack});
-      }
       std::vector<Message> inners;
       Result<Message> inner = core::Wire::Decode(data->inner);
       LAZYREP_CHECK(inner.ok()) << inner.status().ToString();
       inners.push_back(std::move(*inner));
       OnFrame(env.src, env.dst, data->seq, std::move(inners));
     } else if (auto* batch = std::get_if<core::ReliableBatch>(&env.payload)) {
-      if (batch->piggyback_ack > 0) {
-        OnAck(/*src=*/env.dst, /*dst=*/env.src,
-              core::ChannelAck{batch->piggyback_ack});
-      }
       OnFrame(env.src, env.dst, batch->seq, DecodeBatch(*batch));
     } else if (auto* ack = std::get_if<core::ChannelAck>(&env.payload)) {
       OnAck(/*src=*/env.dst, /*dst=*/env.src, *ack);
@@ -568,30 +533,25 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
     OweAck(src, dst, ch);
   }
 
-  /// Marks channel (src, dst)'s ack owed and arms its fallback timer.
+  /// Marks channel (src, dst)'s ack owed and arms its delay timer, unless
+  /// an owed ack is already waiting (it will cover this receipt too).
   /// Until the head frame arrives there is nothing to acknowledge (a
   /// cumulative ack of 0 says nothing), so nothing is owed.
   void OweAck(SiteId src, SiteId dst, RecvState& ch) {
-    if (ch.next_expected == 1) return;
+    if (ch.next_expected == 1 || ch.ack_owed) return;
     ch.ack_owed = true;
-    if (!ch.ack_timer_running) {
-      ch.ack_timer_running = true;
-      rt_->Spawn(AckFallback(src, dst));
-    }
+    rt_->Spawn(DelayedAck(src, dst));
   }
 
-  /// Single-shot fallback: if no reverse-direction frame carried the
-  /// owed ack within `kAckDelay`, send it standalone. Runs at the
-  /// receiver (`dst`'s machine).
-  runtime::Co<void> AckFallback(SiteId src, SiteId dst) {
+  /// Single-shot delayed ack: `kAckDelay` after the receipt that made it
+  /// owed, acknowledges everything received so far. Runs at the receiver
+  /// (`dst`'s machine).
+  runtime::Co<void> DelayedAck(SiteId src, SiteId dst) {
     RecvState& ch = RecvFor(src, dst);
     co_await rt_->Delay(kAckDelay);
-    ch.ack_timer_running = false;
-    if (ch.ack_owed) {
-      ch.ack_owed = false;
-      acks_standalone_.fetch_add(1, std::memory_order_acq_rel);
-      net_->Post(dst, src, Message(core::ChannelAck{ch.next_expected - 1}));
-    }
+    ch.ack_owed = false;
+    acks_standalone_.fetch_add(1, std::memory_order_acq_rel);
+    net_->Post(dst, src, Message(core::ChannelAck{ch.next_expected - 1}));
   }
 
   /// Retires the frames `ack` covers and, unless one of them was
@@ -663,14 +623,6 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   Net* net_;
   FaultInjector* injector_;
   core::BatchingOptions batching_;
-  /// Owed acks ride reverse frames only when frames pay no per-message
-  /// CPU. The cost model charges a frame's CPU before it leaves and
-  /// before its receiver sees it, so an ack riding one would wait in
-  /// both machines' CPU queues, where a standalone ack, control traffic
-  /// like TCP's kernel-level acks, goes out uncharged. Under load that
-  /// wait outlasts the RTO: with riding acks, BackEdge at 1% drop and dup
-  /// resent 11% more frames than with standalone ones (docs/FAULTS.md).
-  bool acks_ride_frames_;
   SiteId num_sites_;
   /// send_[src][dst] and recv_[dst][src]: per-site maps of lazily
   /// created channel cells, each confined to its site's home lane.
@@ -687,7 +639,6 @@ class ReliableTransport : public net::Transport<core::ProtocolMessage> {
   std::atomic<uint64_t> frames_sent_{0};
   std::atomic<uint64_t> batch_frames_sent_{0};
   std::atomic<uint64_t> acks_standalone_{0};
-  std::atomic<uint64_t> acks_piggybacked_{0};
   std::atomic<uint64_t> posts_refused_{0};
   // Optional metrics handles (SetMetrics); increments are atomic.
   obs::Counter* retransmissions_counter_ = nullptr;

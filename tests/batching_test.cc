@@ -92,9 +92,6 @@ void RunBatched(core::SystemConfig config, bool expect_batches = true) {
   if (expect_batches) {
     EXPECT_GT(sys.transport()->batch_frames_sent(), 0u);
   }
-  // No piggyback assertion here: tree propagation is one-directional per
-  // edge, so reverse data frames (the piggyback carrier) may never
-  // appear — the mechanism is covered by the transport unit tests.
 
   // Redo recovery reproduces every site's final image — deferring the
   // sync boundary must never reorder or drop redo records.
@@ -200,8 +197,7 @@ TEST(BatchingDeterminismTest, SameSeedSameSchedule) {
 
 // The bench baseline arm: force_transport routes traffic through the ARQ
 // layer with every batching knob off — one frame per message, no batch
-// frames, no deferred syncs. Tree propagation is one-directional per
-// edge, so no reverse frame carries the delayed acks: all go standalone.
+// frames, no deferred syncs — and acks that still go out delayed.
 TEST(BatchingBaselineTest, ForceTransportAloneChangesNothing) {
   core::SystemConfig config =
       BatchedConfig(Protocol::kDagWt, RuntimeKind::kSim, /*seed=*/2);
@@ -216,7 +212,6 @@ TEST(BatchingBaselineTest, ForceTransportAloneChangesNothing) {
   ASSERT_NE(sys.transport(), nullptr);
   EXPECT_TRUE(sys.transport()->Quiescent());
   EXPECT_EQ(sys.transport()->batch_frames_sent(), 0u);
-  EXPECT_EQ(sys.transport()->acks_piggybacked(), 0u);
   EXPECT_GT(sys.transport()->acks_standalone(), 0u);
 }
 
