@@ -29,7 +29,8 @@ struct SecondaryUpdate {
   std::vector<WriteRecord> writes;
   /// DAG(T): the transaction's timestamp; unused by the other protocols,
   /// whose empty timestamp costs no wire bytes (it travels behind a
-  /// flags bit). On the wire it is a delta (`ts_shared`).
+  /// flags bit, and its tuples' sites and LTS as unsigned ids). On the
+  /// wire it is a delta (`ts_shared`).
   Timestamp ts;
   /// DAG(T): how many leading tuples of the timestamp equal those of the
   /// previous timestamp sent on the same (sender, receiver) channel.
@@ -48,6 +49,10 @@ struct SecondaryUpdate {
   /// Origin site of the transaction (identifies the special's endpoint);
   /// a DAG(T) dummy's sender. Sent behind a flags bit only when it
   /// differs from `origin.origin_site`, i.e. on dummies.
+  ///
+  /// The update's seven flags (this and the other optional fields, plus
+  /// `is_dummy` and `is_special`) are bits 0-6 of its kind byte, whose
+  /// bit 7 marks an update (core/wire.h): no flag byte of their own.
   SiteId origin_site = kInvalidSite;
   /// When the origin (primary) committed (0 = absent). Set and read only
   /// by NaiveLazy's last-writer-wins applier. Encoded behind a flags bit,
@@ -56,9 +61,9 @@ struct SecondaryUpdate {
   /// The origin's commit *stamp* (commit_seq + 1; 0 = absent). Only
   /// populated under MVCC consistency levels (docs/MVCC.md): appliers
   /// feed it to `Database::NoteOriginApplied` so RYW sessions can wait
-  /// for their own writes at remote sites. Encoded behind a flags bit —
-  /// absent it costs zero wire bytes, keeping default schedules and
-  /// bandwidth timing byte-identical.
+  /// for their own writes at remote sites. Encoded behind a flags bit as
+  /// an unsigned id — absent it costs zero wire bytes, keeping default
+  /// schedules and bandwidth timing byte-identical.
   int64_t origin_commit_seq = 0;
 };
 
@@ -69,8 +74,8 @@ struct BackedgeStart {
   GlobalTxnId origin;
   SiteId origin_site = kInvalidSite;
   std::vector<WriteRecord> writes;
-  /// Unread and left 0 (one wire byte); kept while the codec benchmark
-  /// aggregate-initializes the struct.
+  /// Unread and not on the wire (decodes as 0); kept only while the
+  /// codec benchmark aggregate-initializes the struct.
   SimTime primary_done_time = 0;
 };
 
@@ -81,12 +86,17 @@ struct BackedgeAbort {
 };
 
 /// Two-phase-commit messages (BackEdge step 3; Eager commit).
+/// A kind's one boolean (`yes`, `commit`) rides bit 6 of its kind byte.
 struct TpcPrepare {
   GlobalTxnId origin;
+  /// Unread and not on the wire (decodes as `kInvalidSite`); kept only
+  /// while the codec benchmark aggregate-initializes the struct.
   SiteId coordinator = kInvalidSite;
   /// Eager only: the writes to apply at the participant before voting —
   /// those it replicates.
   std::vector<WriteRecord> writes;
+  /// Unread and not on the wire (decodes as false); kept only while the
+  /// codec benchmark aggregate-initializes the struct.
   bool carries_writes = false;
 };
 struct TpcVote {
@@ -96,8 +106,8 @@ struct TpcVote {
 struct TpcDecision {
   GlobalTxnId origin;
   bool commit = false;
-  /// Unread and left 0 (one wire byte); kept while the codec benchmark
-  /// aggregate-initializes the struct.
+  /// Unread and not on the wire (decodes as 0); kept only while the
+  /// codec benchmark aggregate-initializes the struct.
   SimTime origin_commit_time = 0;
 };
 struct TpcAck {
@@ -120,7 +130,8 @@ struct PslLockResponse {
 };
 /// PSL: the origin committed or aborted; release its proxy locks here.
 /// `committed` decides whether the proxy commits (records history) or
-/// rolls back.
+/// rolls back. It and `PslLockResponse::granted` ride bit 6 of the kind
+/// byte.
 struct PslRelease {
   GlobalTxnId origin;
   bool committed = false;
@@ -128,7 +139,8 @@ struct PslRelease {
 
 /// Several secondary subtransactions in one message. No engine sends it
 /// (batching is the transport's `ReliableBatch`); the type and its wire
-/// tag 10 stay only while the codec benchmark samples them.
+/// tag 10 stay only while the codec benchmark samples them. Each inner
+/// update spends a flag byte of its own (bit 7 clear).
 struct SecondaryBatch {
   std::vector<SecondaryUpdate> updates;
 };
@@ -137,11 +149,11 @@ struct SecondaryBatch {
 /// protocol message on a (src, dst) channel. `inner` is the wrapped
 /// message's `Wire::Encode` bytes — carrying the encoding rather than
 /// the variant avoids a recursive variant, exercises the codec on every
-/// delivery, and makes the byte accounting exact. On the wire `seq` and
-/// a has-ack bit share one varint, the ack follows only when carried, and
-/// `inner` runs to the end of the frame (no length prefix).
+/// delivery, and makes the byte accounting exact. On the wire the has-ack
+/// flag rides bit 6 of the kind byte, `seq` is a plain varint, the ack
+/// follows only when carried, and `inner` runs to the end of the frame
+/// (no length prefix).
 struct ReliableData {
-  /// Below 2^63: the top bit makes room for the has-ack flag.
   uint64_t seq = 0;
   /// Piggybacked cumulative ack for the reverse channel (dst -> src data):
   /// 0 means "none carried" (real cumulative acks start at 1).

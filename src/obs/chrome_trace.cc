@@ -48,10 +48,16 @@ std::string Args(const TraceEvent& e) {
     first = false;
     out += "\"" + k + "\":" + v;
   };
+  auto add_string = [&add](const std::string& k, const std::string& v) {
+    std::string quoted(1, '"');
+    quoted += JsonEscape(v);
+    quoted += '"';
+    add(k, quoted);
+  };
   std::string txn = TxnName(e.txn);
-  if (!txn.empty()) add("txn", "\"" + JsonEscape(txn) + "\"");
+  if (!txn.empty()) add_string("txn", txn);
   if (e.item != kInvalidItem) add("item", StrPrintf("%d", e.item));
-  if (!e.detail.empty()) add("detail", "\"" + JsonEscape(e.detail) + "\"");
+  if (!e.detail.empty()) add_string("detail", e.detail);
   out += "}";
   return out;
 }

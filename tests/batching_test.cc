@@ -80,14 +80,37 @@ void RunBatched(core::SystemConfig config, bool expect_batches = true) {
   ASSERT_TRUE(system.ok()) << system.status().ToString();
   core::System& sys = **system;
   core::RunMetrics m = sys.Run();
+  ASSERT_NE(sys.transport(), nullptr);
+
+  const int num_sites = sys.config().workload.num_sites;
+  size_t total_syncs = 0;
+  size_t total_commit_records = 0;
+  for (SiteId s = 0; s < num_sites; ++s) {
+    storage::Database& db = sys.database(s);
+    ASSERT_NE(db.wal(), nullptr);
+    total_syncs += db.wal()->sync_batches();
+    for (const storage::Wal::Record& r : db.wal()->records()) {
+      if (r.type == storage::Wal::RecordType::kCommit) {
+        ++total_commit_records;
+      }
+    }
+  }
+  // Several of the checks below depend on wall-clock timing on the
+  // threads runtime; every failure names the whole run it judged.
+  SCOPED_TRACE("timed_out=" + std::to_string(m.timed_out) +
+               " committed=" + std::to_string(m.committed) +
+               " aborted=" + std::to_string(m.aborted) + " verdict='" +
+               m.verdict + "' batch_frames_sent=" +
+               std::to_string(sys.transport()->batch_frames_sent()) +
+               " wal_syncs=" + std::to_string(total_syncs) +
+               " commit_records=" + std::to_string(total_commit_records));
 
   EXPECT_FALSE(m.timed_out);
   EXPECT_GT(m.committed, 0);
-  EXPECT_TRUE(m.serializable) << m.verdict;
+  EXPECT_TRUE(m.serializable);
   EXPECT_TRUE(m.reads_consistent);
   EXPECT_TRUE(m.converged);
 
-  ASSERT_NE(sys.transport(), nullptr);
   EXPECT_TRUE(sys.transport()->Quiescent());
   if (expect_batches) {
     EXPECT_GT(sys.transport()->batch_frames_sent(), 0u);
@@ -95,12 +118,8 @@ void RunBatched(core::SystemConfig config, bool expect_batches = true) {
 
   // Redo recovery reproduces every site's final image — deferring the
   // sync boundary must never reorder or drop redo records.
-  const int num_sites = sys.config().workload.num_sites;
-  size_t total_syncs = 0;
-  size_t total_commit_records = 0;
   for (SiteId s = 0; s < num_sites; ++s) {
     storage::Database& db = sys.database(s);
-    ASSERT_NE(db.wal(), nullptr);
     storage::ItemStore replayed;
     for (const auto& [item, value] : db.store().Snapshot()) {
       replayed.AddItem(item, 0);
@@ -108,12 +127,6 @@ void RunBatched(core::SystemConfig config, bool expect_batches = true) {
     db.wal()->Replay(&replayed);
     EXPECT_EQ(replayed.Snapshot(), db.store().Snapshot())
         << "WAL replay diverged from the live store at site " << s;
-    total_syncs += db.wal()->sync_batches();
-    for (const storage::Wal::Record& r : db.wal()->records()) {
-      if (r.type == storage::Wal::RecordType::kCommit) {
-        ++total_commit_records;
-      }
-    }
   }
   // Group commit's point: fewer sync boundaries than commit records
   // (every secondary subtransaction writes a commit record; coalesced

@@ -397,44 +397,21 @@ struct GoldenRun {
 };
 
 TEST(SimGoldenMetricsTest, RefactorPreservesScheduleBitForBit) {
-  // Recaptured after the send-CPU fix (messages now depart only after
-  // the sender's per-message CPU charge, shifting every schedule), and
-  // again when lazy updates began carrying only the writes their
-  // receiver needs (Routing::Project). That moved only `bytes` for the
-  // DAG protocols (DAG(WT) 17788 -> 7932, DAG(T) 33477 -> 27052); the
-  // same messages go to the same sites in the same order. BackEdge's
-  // shorter frames also move its schedule through the bandwidth model
-  // (committed 810 -> 812, bytes 27352 -> 16464, the latter also
-  // without the origin commit time its frames no longer carry).
-  // Recaptured once more when BackEdge's eager path (backedge start and
-  // special hops) began carrying only the writes replicated on the rest
-  // of its path, Eager's prepares only their participant's writes, and
-  // the update header dropped its repeated origin site and empty
-  // timestamp. The row without the bandwidth model shows that only bytes
-  // moved (18348 -> 11643, every other field as before); under the model
-  // the shorter frames reschedule BackEdge (committed 812 -> 787, bytes
-  // 16464 -> 10402), and DAG(WT) 7932 -> 6684 and DAG(T) 27052 -> 26785
-  // move only in bytes. Recaptured when DAG(T) timestamps began to travel
-  // as per-channel deltas (only the tuples the channel has not seen): the
-  // DAG(T) row without the bandwidth model was captured before that
-  // change, and both DAG(T) rows then moved only in bytes
-  // (26785 -> 23257). Recaptured when written values began to travel as
-  // their difference from the message's own txn id (one byte instead of
-  // eight, core/wire.h). Without the bandwidth model only bytes moved
-  // (BackEdge 11643 -> 7226, DAG(T) 23257 -> 21325). Under the model
-  // DAG(WT) (6684 -> 3541) and DAG(T) (23257 -> 21325) move only in
-  // bytes, and the shorter frames reschedule BackEdge (committed
-  // 787 -> 794, bytes 10402 -> 6152).
+  // The rows pin the sim schedule of PaperConfig at 40 txns per thread,
+  // seed 1, with and without the bandwidth model. Without it only a
+  // change of message count or order can move anything but `bytes`;
+  // with it, shorter frames can reschedule a run. Each recapture and
+  // the fields it moved are recorded in CHANGES.md.
   const GoldenRun kGolden[] = {
-      {core::Protocol::kBackEdge, 794, 286, 910, 6152, 1334987200,
-       1334987200, 944, 287},
-      {core::Protocol::kDagWt, 884, 196, 416, 3541, 1058780000, 1068780000,
+      {core::Protocol::kBackEdge, 794, 286, 910, 4702, 1334979200,
+       1334979200, 944, 287},
+      {core::Protocol::kDagWt, 884, 196, 416, 2742, 1058780000, 1068780000,
        923, 196},
-      {core::Protocol::kDagT, 901, 179, 1576, 21325, 1099780000, 1209780000,
-       930, 179},
-      {core::Protocol::kBackEdge, 816, 264, 1053, 7226, 1276790000,
+      {core::Protocol::kDagT, 902, 178, 1576, 18347, 1099780000, 1209780000,
+       928, 178},
+      {core::Protocol::kBackEdge, 816, 264, 1053, 5456, 1276790000,
        1276790000, 955, 264, /*bandwidth=*/false},
-      {core::Protocol::kDagT, 902, 178, 1576, 21325, 1099780000, 1209780000,
+      {core::Protocol::kDagT, 902, 178, 1576, 18347, 1099780000, 1209780000,
        928, 178, /*bandwidth=*/false},
   };
   for (const GoldenRun& golden : kGolden) {
